@@ -5,23 +5,26 @@ timings, and full witness detail, printed as aligned text or JSON
 (`--json`). Exit codes are a function of the verdicts alone: 0 when
 everything passes (or the model is local), 3 for a non-local decision,
 4 for a failed check with a witness, 2 for any input problem.
+
+`timed` is the one clock and `Report.check` the one place where a `Check`
+result becomes a verdict. The quantum demos render their own float
+objects and import `ontolab.quantum`, and with it numpy, only when they
+run; every other subcommand starts without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Mapping, Optional
-
-import numpy as np
+from typing import Any, Mapping
 
 from ..probcore import (
+    Check,
     Dist,
     EmpiricalModel,
     JointOutcome,
@@ -59,19 +62,6 @@ from ..prepscen import (
     overlap_event_probability,
     pbr_counterexample,
 )
-from ..quantum import (
-    EpistemicValues,
-    Ket,
-    OnticValue,
-    minus_state,
-    observable_epistemicity,
-    pauli_x,
-    pauli_z,
-    plus_state,
-    qubit0,
-    qubit1,
-    steering_demo,
-)
 from . import zoo
 from .modelio import (
     DemoConfig,
@@ -79,7 +69,6 @@ from .modelio import (
     canonical_to_obj,
     demo_config_to_obj,
     empirical_to_obj,
-    model_file_for,
     ontological_to_obj,
     parse_model_file,
     preparation_to_obj,
@@ -91,6 +80,13 @@ from ..properties import Property
 
 
 # ---------------------------------------------------------------- reports
+
+
+def timed(fn, *args) -> tuple:
+    """Call ``fn(*args)``; return its result and the elapsed milliseconds."""
+    t0 = time.perf_counter()
+    result = fn(*args)
+    return result, (time.perf_counter() - t0) * 1000.0
 
 
 @dataclass
@@ -113,6 +109,14 @@ class Report:
         self.verdicts.append(v)
         return v
 
+    def check(self, name: str, fn, *args) -> Check:
+        """Time a `Check`-returning call and record it as pass or fail; a
+        failure carries its witness as detail and artifact."""
+        res, ms = timed(fn, *args)
+        witness = None if res else res.witness
+        self.add(name, "pass" if res else "fail", bool(res), ms, detail=describe(witness), artifact=witness)
+        return res
+
     @property
     def exit_code(self) -> int:
         if any(v.decision and not v.ok for v in self.verdicts):
@@ -120,10 +124,6 @@ class Report:
         if any(not v.ok for v in self.verdicts):
             return 4
         return 0
-
-
-def _ms(t0: float) -> float:
-    return (time.perf_counter() - t0) * 1000.0
 
 
 # ----------------------------------------------------- artifact rendering
@@ -153,8 +153,8 @@ def dist_text(d: Dist) -> str:
     return "{" + ", ".join(parts) + "}"
 
 
-def _ket_text(k: Ket) -> str:
-    return "(" + ", ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in k.amplitudes) + ")"
+def _weight_lines(title: str, weights: Mapping) -> list:
+    return [title] + [f"  {assignment_text(omega)}  ->  {frac(w)}" for omega, w in weights.items()]
 
 
 def describe(obj) -> str:
@@ -163,10 +163,7 @@ def describe(obj) -> str:
     if obj is None:
         return ""
     if isinstance(obj, LocalWitness):
-        lines = ["weights over global assignments:"]
-        for omega, w in obj.dist.items():
-            lines.append(f"  {assignment_text(omega)}  ->  {frac(w)}")
-        return "\n".join(lines)
+        return "\n".join(_weight_lines("weights over global assignments:", obj.dist.weights))
     if isinstance(obj, NonlocalityCertificate):
         lines = ["violated inequality (sum of coefficient * probability):"]
         for ev, c in obj.coefficients.items():
@@ -176,16 +173,11 @@ def describe(obj) -> str:
         )
         return "\n".join(lines)
     if isinstance(obj, SignedWeights):
-        lines = ["signed weights over global assignments:"]
-        for omega, w in obj.weights.items():
-            lines.append(f"  {assignment_text(omega)}  ->  {frac(w)}")
-        return "\n".join(lines)
+        return "\n".join(_weight_lines("signed weights over global assignments:", obj.weights))
     if isinstance(obj, CanonicalLocalModel):
         lines = []
         for p, d in obj.weights.items():
-            lines.append(f"preparation {p}:")
-            for omega, w in d.items():
-                lines.append(f"  {assignment_text(omega)}  ->  {frac(w)}")
+            lines += _weight_lines(f"preparation {p}:", d.weights)
         return "\n".join(lines)
     if isinstance(obj, PreparationModel):
         lines = []
@@ -207,14 +199,6 @@ def describe(obj) -> str:
         return (
             f"state {obj.state} is compatible with both "
             f"{obj.value_a!r} and {obj.value_b!r}"
-        )
-    if isinstance(obj, OnticValue):
-        return f"value {obj.eigenvalue:+g} is certain"
-    if isinstance(obj, EpistemicValues):
-        m_a, m_b = obj.masses
-        return (
-            f"values {obj.eigenvalue_a:+g} and {obj.eigenvalue_b:+g} both carried, "
-            f"masses {frac(m_a)} and {frac(m_b)}"
         )
     if isinstance(obj, Dist):
         return dist_text(obj)
@@ -242,14 +226,12 @@ def describe(obj) -> str:
 
 
 def jsonable(obj):
-    """Lossless JSON form: rationals as strings, complex numbers as
-    [re, im] pairs, joint outcomes with their contexts spelled out."""
+    """Lossless JSON form: rationals as strings, joint outcomes with their
+    contexts spelled out."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, Fraction):
         return rational_to_str(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
     if isinstance(obj, JointOutcome):
         return {"context": list(obj.context), "outcomes": list(obj.outcomes)}
     if isinstance(obj, Dist):
@@ -294,12 +276,6 @@ def jsonable(obj):
             "context": list(items[0][0].context),
             "weights": {",".join(ev.outcomes): rational_to_str(w) for ev, w in items},
         }
-    if isinstance(obj, Ket):
-        return [[float(z.real), float(z.imag)] for z in obj.amplitudes]
-    if isinstance(obj, np.ndarray):
-        if obj.ndim == 1:
-            return [[float(z.real), float(z.imag)] for z in obj]
-        return [jsonable(row) for row in obj]
     if is_dataclass(obj):
         return {f.name: jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, Mapping):
@@ -352,10 +328,10 @@ def _load(spec_arg: str) -> ModelFile:
     if spec_arg.startswith("zoo:"):
         return zoo.load_model(spec_arg[len("zoo:"):])
     try:
-        text = Path(spec_arg).read_text()
+        data = Path(spec_arg).read_bytes()
     except OSError as e:
         raise OntolabError(f"cannot read {spec_arg}: {e.strerror or e}") from e
-    return parse_model_file(text)
+    return parse_model_file(data)
 
 
 def _payload(mf: ModelFile, kind: str):
@@ -375,9 +351,7 @@ def _parse_fraction(text: str, what: str) -> Fraction:
 
 
 def cmd_validate(args) -> int:
-    t0 = time.perf_counter()
-    mf = _load(args.model)
-    ms = _ms(t0)
+    mf, ms = timed(_load, args.model)
     payload = mf.payload
     if isinstance(payload, EmpiricalModel):
         stats = (
@@ -405,37 +379,14 @@ def cmd_validate(args) -> int:
 def cmd_check_ns(args) -> int:
     e = _payload(_load(args.model), "empirical")
     report = Report()
-    t0 = time.perf_counter()
-    res = check_no_signalling(e)
-    report.add(
-        "no-signalling",
-        "pass" if res else "fail",
-        bool(res),
-        _ms(t0),
-        detail="" if res else describe(res.witness),
-        artifact=None if res else res.witness,
-    )
+    report.check("no-signalling", check_no_signalling, e)
     return emit(report, args)
 
 
-def cmd_decide_local(args) -> int:
-    e = _payload(_load(args.model), "empirical")
-    report = Report()
-
-    t0 = time.perf_counter()
-    ns = check_no_signalling(e)
-    report.add(
-        "no-signalling",
-        "pass" if ns else "fail",
-        bool(ns),
-        _ms(t0),
-        detail="" if ns else describe(ns.witness),
-        artifact=None if ns else ns.witness,
-    )
-
-    t0 = time.perf_counter()
-    result = decide_local(e, cap=args.cap)
-    ms = _ms(t0)
+def _decision(report: Report, e: EmpiricalModel, cap: int):
+    """Decide locality and record the decision verdict; returns the result
+    and whether it is local."""
+    result, ms = timed(decide_local, e, cap)
     local = isinstance(result, LocalWitness)
     report.add(
         "decision",
@@ -446,14 +397,20 @@ def cmd_decide_local(args) -> int:
         artifact=result,
         decision=True,
     )
+    return result, local
 
-    t0 = time.perf_counter()
-    verified = verify_witness(e, result) if local else verify_certificate(e, result)
+
+def cmd_decide_local(args) -> int:
+    e = _payload(_load(args.model), "empirical")
+    report = Report()
+    report.check("no-signalling", check_no_signalling, e)
+    result, local = _decision(report, e, args.cap)
+    verified, ms = timed(verify_witness if local else verify_certificate, e, result)
     report.add(
         "verification",
         "pass" if verified else "fail",
         verified,
-        _ms(t0),
+        ms,
         detail="replayed by direct enumeration, independent of the solver",
     )
     return emit(report, args)
@@ -463,21 +420,18 @@ def cmd_classify_property(args) -> int:
     p = _payload(_load(args.model), "property")
     report = Report()
 
-    t0 = time.perf_counter()
-    c = classify(p)
+    c, ms = timed(classify, p)
     ontic = isinstance(c, Ontic)
     report.add(
         "classification",
         "ontic" if ontic else "epistemic",
         ontic,
-        _ms(t0),
+        ms,
         detail=describe(c),
         artifact=c,
     )
 
-    t0 = time.perf_counter()
-    agree = hs_equivalence(p)
-    overlap = supports_overlap(bayes_invert(p))
+    (agree, overlap), ms = timed(lambda: (hs_equivalence(p), supports_overlap(bayes_invert(p))))
     if overlap is None:
         overlap_text = "posterior supports are pairwise disjoint"
     else:
@@ -487,7 +441,7 @@ def cmd_classify_property(args) -> int:
         "support-overlap",
         "consistent" if agree else "inconsistent",
         agree,
-        _ms(t0),
+        ms,
         detail=overlap_text,
     )
     return emit(report, args)
@@ -502,20 +456,9 @@ def cmd_onto_report(args) -> int:
         ("factorization", factorizes),
         ("local", is_local),
     ):
-        t0 = time.perf_counter()
-        res = checker(h)
-        report.add(
-            name,
-            "pass" if res else "fail",
-            bool(res),
-            _ms(t0),
-            detail="" if res else describe(res.witness),
-            artifact=None if res else res.witness,
-        )
+        report.check(name, checker, h)
 
-    t0 = time.perf_counter()
-    status = onticity_report(h)
-    ms = _ms(t0)
+    status, ms = timed(onticity_report, h)
     counts: dict = {}
     for s in status.values():
         counts[s] = counts.get(s, 0) + 1
@@ -534,95 +477,56 @@ def cmd_onto_report(args) -> int:
 def cmd_canonicalize(args) -> int:
     h = _payload(_load(args.model), "ontological")
     report = Report()
-
-    t0 = time.perf_counter()
-    loc = is_local(h)
-    report.add(
-        "local",
-        "pass" if loc else "fail",
-        bool(loc),
-        _ms(t0),
-        detail="" if loc else describe(loc.witness),
-        artifact=None if loc else loc.witness,
-    )
-    if not loc:
+    if not report.check("local", is_local, h):
         return emit(report, args)
 
-    t0 = time.perf_counter()
-    c = canonicalize(h)
-    report.add("canonical-form", "emitted", True, _ms(t0), detail=describe(c), artifact=c)
+    c, ms = timed(canonicalize, h)
+    report.add("canonical-form", "emitted", True, ms, detail=describe(c), artifact=c)
 
-    t0 = time.perf_counter()
-    back = c.as_ontological_model()
-    preserved = all(
-        operational_probabilities(h, p) == operational_probabilities(back, p)
-        for p in h.preparations
-    )
+    def preserved() -> bool:
+        back = c.as_ontological_model()
+        return all(
+            operational_probabilities(h, p) == operational_probabilities(back, p)
+            for p in h.preparations
+        )
+
+    ok, ms = timed(preserved)
     report.add(
         "operational-check",
-        "pass" if preserved else "fail",
-        preserved,
-        _ms(t0),
+        "pass" if ok else "fail",
+        ok,
+        ms,
         detail="operational probabilities preserved exactly for every preparation"
-        if preserved
+        if ok
         else "operational probabilities changed",
     )
     return emit(report, args)
 
 
-def cmd_prep_check(args) -> int:
-    m = _payload(_load(args.model), "preparation")
-    report = Report()
+def _preparation_checks(report: Report, m: PreparationModel) -> None:
     for name, checker in (
         ("no-preparation-signalling", is_no_preparation_signalling),
         ("preparation-independence", is_preparation_independent),
     ):
-        t0 = time.perf_counter()
-        res = checker(m)
-        report.add(
-            name,
-            "pass" if res else "fail",
-            bool(res),
-            _ms(t0),
-            detail="" if res else describe(res.witness),
-            artifact=None if res else res.witness,
-        )
+        report.check(name, checker, m)
+
+
+def cmd_prep_check(args) -> int:
+    m = _payload(_load(args.model), "preparation")
+    report = Report()
+    _preparation_checks(report, m)
     return emit(report, args)
 
 
 def cmd_pbr(args) -> int:
     q = _parse_fraction(args.q, "q")
-    t0 = time.perf_counter()
-    m = pbr_counterexample(PBRParams(q))
-    build_ms = _ms(t0)
+    m, ms = timed(lambda: pbr_counterexample(PBRParams(q)))
     report = Report()
-    report.add("model-tables", "emitted", True, build_ms, detail=describe(m), artifact=m)
+    report.add("model-tables", "emitted", True, ms, detail=describe(m), artifact=m)
+    _preparation_checks(report, m)
 
-    t0 = time.perf_counter()
-    nps = is_no_preparation_signalling(m)
-    report.add(
-        "no-preparation-signalling",
-        "pass" if nps else "fail",
-        bool(nps),
-        _ms(t0),
-        detail="" if nps else describe(nps.witness),
-        artifact=None if nps else nps.witness,
-    )
-
-    t0 = time.perf_counter()
-    pi = is_preparation_independent(m)
-    report.add(
-        "preparation-independence",
-        "pass" if pi else "fail",
-        bool(pi),
-        _ms(t0),
-        detail="" if pi else describe(pi.witness),
-        artifact=None if pi else pi.witness,
-    )
-
-    t0 = time.perf_counter()
-    probs = overlap_event_probability(
-        m, {site: (OVERLAP,) for site in m.scenario.sites}
+    probs, ms = timed(
+        overlap_event_probability, m, {site: (OVERLAP,) for site in m.scenario.sites}
     )
     values = sorted(set(probs.values()))
     outcome = frac(values[0]) if len(values) == 1 else "varies"
@@ -630,7 +534,7 @@ def cmd_pbr(args) -> int:
         "overlap-event",
         outcome,
         True,
-        _ms(t0),
+        ms,
         detail="\n".join(
             f"({', '.join(jp)}): {frac(w)}" for jp, w in sorted(probs.items())
         ),
@@ -647,34 +551,43 @@ def cmd_demo(args) -> int:
     return _demo_chsh(args)
 
 
+def _complex_pairs(zs) -> list:
+    return [[float(z.real), float(z.imag)] for z in zs]
+
+
 def _demo_epr(args) -> int:
+    from .. import quantum
+
     report = Report()
-    plus = plus_state()
-    for name, observable in (("observable-x", pauli_x()), ("observable-z", pauli_z())):
-        t0 = time.perf_counter()
-        res = observable_epistemicity(plus, observable)
-        ontic = isinstance(res, OnticValue)
-        report.add(
-            name,
-            "ontic" if ontic else "epistemic",
-            ontic,
-            _ms(t0),
-            detail=describe(res),
-            artifact=res,
-        )
+    plus = quantum.plus_state()
+    for name, observable in (("observable-x", quantum.pauli_x()), ("observable-z", quantum.pauli_z())):
+        res, ms = timed(quantum.observable_epistemicity, plus, observable)
+        ontic = isinstance(res, quantum.OnticValue)
+        if ontic:
+            detail = f"value {res.eigenvalue:+g} is certain"
+        else:
+            m_a, m_b = res.masses
+            detail = (
+                f"values {res.eigenvalue_a:+g} and {res.eigenvalue_b:+g} both carried, "
+                f"masses {frac(m_a)} and {frac(m_b)}"
+            )
+        report.add(name, "ontic" if ontic else "epistemic", ontic, ms, detail=detail, artifact=res)
     return emit(report, args)
 
 
 def _demo_steering(args) -> int:
+    from .. import quantum
+
     report = Report()
     basis = args.basis
     other = "x" if basis == "z" else "z"
 
-    t0 = time.perf_counter()
-    ensemble = steering_demo(basis)
-    ms = _ms(t0)
+    ensemble, ms = timed(quantum.steering_demo, basis)
     lines = [
-        f"probability {p:.12g}: state {_ket_text(k)}" for p, k in ensemble
+        f"probability {p:.12g}: state ("
+        + ", ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in k.amplitudes)
+        + ")"
+        for p, k in ensemble
     ]
     report.add(
         "ensemble",
@@ -682,95 +595,54 @@ def _demo_steering(args) -> int:
         True,
         ms,
         detail=f"measurement basis {basis}\n" + "\n".join(lines),
-        artifact=[{"probability": p, "state": jsonable(k)} for p, k in ensemble],
+        artifact=[{"probability": p, "state": _complex_pairs(k.amplitudes)} for p, k in ensemble],
     )
 
-    targets = [qubit0(), qubit1()] if basis == "z" else [plus_state(), minus_state()]
-    t0 = time.perf_counter()
-    fidelities = [
-        float(abs(t.amplitudes.conj() @ k.amplitudes) ** 2)
-        for t, (_, k) in zip(targets, ensemble)
-    ]
-    ok = all(f >= 1 - 1e-12 for f in fidelities)
+    (fidelities, ok), ms = timed(quantum.steering_fidelities, basis, ensemble)
     report.add(
         "fidelity",
         "pass" if ok else "fail",
         ok,
-        _ms(t0),
+        ms,
         detail="per-state fidelity to the target basis: "
         + ", ".join(f"{f:.15f}" for f in fidelities),
         artifact=fidelities,
     )
 
-    t0 = time.perf_counter()
-
-    def reduced(ens):
-        rho = np.zeros((2, 2), dtype=complex)
-        for p, k in ens:
-            rho += p * np.outer(k.amplitudes, k.amplitudes.conj())
-        return rho
-
-    rho_here = reduced(ensemble)
-    rho_other = reduced(steering_demo(other))
-    drift = float(np.max(np.abs(rho_here - rho_other)))
-    ok = drift <= 1e-12
+    (rho, drift, ok), ms = timed(quantum.steering_drift, basis, ensemble)
     report.add(
         "reduced-state",
         "basis-independent" if ok else "fail",
         ok,
-        _ms(t0),
+        ms,
         detail=(
             f"largest entry difference between the {basis}- and {other}-basis "
             f"reduced matrices: {drift:.3e}"
         ),
-        artifact=rho_here,
+        artifact=[_complex_pairs(row) for row in rho],
     )
     return emit(report, args)
 
 
 def _demo_chsh(args) -> int:
-    report = Report()
-    t0 = time.perf_counter()
-    h = zoo.chsh_psi_complete(args.max_denominator)
-    e = operational_probabilities(h, "entangled-pair")
-    build_ms = _ms(t0)
+    from .. import quantum
 
-    t0 = time.perf_counter()
-    s = chsh_value(e)
-    target = 2 * math.sqrt(2)
-    ok = abs(float(s) - target) < 1e-4
+    report = Report()
+    h, build_ms = timed(zoo.chsh_psi_complete, args.max_denominator)
+    e, ms = timed(operational_probabilities, h, "entangled-pair")
+    build_ms += ms
+
+    s, ms = timed(chsh_value, e)
     report.add(
         "chsh-value",
         f"{float(s):.5f}",
-        ok,
-        build_ms + _ms(t0),
-        detail=f"exact value {frac(s)}; 2*sqrt(2) is about {target:.5f}",
+        quantum.near_tsirelson(s),
+        build_ms + ms,
+        detail=f"exact value {frac(s)}; 2*sqrt(2) is about {quantum.TSIRELSON:.5f}",
         artifact=s,
     )
-
-    t0 = time.perf_counter()
-    pi = is_parameter_independent(h)
-    report.add(
-        "parameter-independence",
-        "pass" if pi else "fail",
-        bool(pi),
-        _ms(t0),
-        detail="" if pi else describe(pi.witness),
-        artifact=None if pi else pi.witness,
-    )
-
-    t0 = time.perf_counter()
-    result = decide_local(e)
-    local = isinstance(result, LocalWitness)
-    report.add(
-        "decision",
-        "local" if local else "non-local",
-        local,
-        _ms(t0),
-        detail=describe(result),
-        artifact=result,
-        decision=True,
-    )
+    report.check("parameter-independence", is_parameter_independent, h)
+    _decision(report, e, DEFAULT_ASSIGNMENT_CAP)
     return emit(report, args)
 
 

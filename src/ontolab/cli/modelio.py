@@ -7,9 +7,10 @@ quantum-demo-config), and "payload". Rationals are strings "num/den" (or
 strings; composite keys join labels with commas, so labels themselves are
 non-empty strings without commas.
 
-Parse failures are graded: malformed JSON raises ModelSyntaxError with
-line and column, structural mismatches raise SchemaError naming the
-offending path, and well-formed payloads whose numbers break a model
+Parse failures are graded: malformed JSON, or bytes that are not UTF-8,
+raise ModelSyntaxError with line and column; structural mismatches raise
+SchemaError naming the offending path, as does a document nested too
+deeply to parse; and well-formed payloads whose numbers break a model
 invariant raise InvariantViolation carrying the underlying detail (for a
 bad distribution, the exact deficit).
 """
@@ -441,12 +442,16 @@ def serialize_model_file(mf: ModelFile) -> str:
 def parse_model_file(text: Union[str, bytes]) -> ModelFile:
     """Decode and validate a model file; see the module docstring for the
     error grading."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except json.JSONDecodeError as e:
         raise ModelSyntaxError(e.lineno, e.colno, e.msg) from e
+    except UnicodeDecodeError as e:
+        line = text.count(b"\n", 0, e.start) + 1
+        col = e.start - text.rfind(b"\n", 0, e.start)
+        raise ModelSyntaxError(line, col, f"not UTF-8 text ({e.reason})") from e
+    except RecursionError as e:
+        raise SchemaError("document", "nested too deeply to parse") from e
     _expect(doc, dict, "document")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:

@@ -21,7 +21,6 @@ from ..probcore import Dist, EmpiricalModel, JointOutcome, MeasurementScenario, 
 from ..ontomodel import OntologicalModel, operational_probabilities
 from ..prepscen import PBRParams, pbr_counterexample
 from ..properties import Property
-from ..quantum import bell_phi_plus, psi_complete_model, qubit_direction_povm, tensor
 from .modelio import (
     KIND_EMPIRICAL,
     KIND_ONTOLOGICAL,
@@ -156,6 +155,8 @@ CHSH_ANGLES = {
 def chsh_psi_complete(max_denominator: int = 10**6) -> OntologicalModel:
     """The state-is-the-ontic-state model of the maximally entangled pair
     measured at the angles that maximize the CHSH expression."""
+    from ..quantum import bell_phi_plus, psi_complete_model, qubit_direction_povm, tensor
+
     measurements = {}
     for x, y in itertools.product((0, 1), repeat=2):
         ax, by = f"a{x}", f"b{y}"
@@ -306,7 +307,7 @@ def load_model(
     if override_dir and q is None and max_denominator is None:
         path = Path(override_dir) / f"{name}.json"
         if path.is_file():
-            return parse_model_file(path.read_text())
+            return parse_model_file(path.read_bytes())
     entry = get_entry(name)
     if name == "pbr-q" and q is not None:
         return model_file_for(pbr_model(q))

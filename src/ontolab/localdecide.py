@@ -11,6 +11,10 @@ assignment space, is a Bell-type inequality the model violates.
 Both outputs are self-verifying: `verify_witness` replays the marginal
 sums and `verify_certificate` re-evaluates the inequality by enumerating
 every global assignment, with no reference to the simplex code path.
+The solver side has one equality builder (`_equality_system`, shared by
+`decide_local` and `quasi_local_decomposition`) and one Gauss-Jordan step
+(`_pivot`, shared by the simplex and the unrestricted solve); the
+verifiers call neither.
 """
 
 from __future__ import annotations
@@ -99,15 +103,18 @@ def lp_feasibility(rows: Sequence[Sequence], rhs: Sequence) -> Union[Feasible, I
         tableau.append(row + art + [b])
     ncols = n + m
     basis = [n + i for i in range(m)]
-    # Reduced costs for min sum-of-artificials with the artificial basis.
+    # Reduced costs for min sum-of-artificials with the artificial basis,
+    # carried as the last tableau row; its last entry is minus the
+    # current objective value.
     zrow = []
     for j in range(ncols + 1):
         col_sum = sum(tableau[i][j] for i in range(m))
         cost = Fraction(1) if n <= j < ncols else Fraction(0)
         zrow.append(cost - col_sum)
-    # zrow[-1] holds minus the current objective value.
+    tableau.append(zrow)
 
     while True:
+        zrow = tableau[m]
         enter = next((j for j in range(ncols) if zrow[j] < 0), None)
         if enter is None:
             break
@@ -121,16 +128,7 @@ def lp_feasibility(rows: Sequence[Sequence], rhs: Sequence) -> Union[Feasible, I
                     best, leave = ratio, i
         if leave is None:
             raise OntolabError("phase-one objective unbounded; constraint system is corrupt")
-        pivot = tableau[leave][enter]
-        tableau[leave] = [v / pivot for v in tableau[leave]]
-        prow = tableau[leave]
-        for i in range(m):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [a - f * b for a, b in zip(tableau[i], prow)]
-        if zrow[enter] != 0:
-            f = zrow[enter]
-            zrow = [a - f * b for a, b in zip(zrow, prow)]
+        _pivot(tableau, leave, enter)
         basis[leave] = enter
 
     objective = -zrow[-1]
@@ -149,6 +147,17 @@ def lp_feasibility(rows: Sequence[Sequence], rhs: Sequence) -> Union[Feasible, I
     if sum(y[i] * orig_rhs[i] for i in range(m)) <= 0:
         raise OntolabError("internal: Farkas vector fails y.b > 0")
     return Infeasible(y)
+
+
+def _pivot(rows: list, r: int, col: int) -> None:
+    """Gauss-Jordan step: scale row r to a unit entry at col, then clear col
+    from every other row, in row order."""
+    pivot = rows[r][col]
+    prow = rows[r] = [v / pivot for v in rows[r]]
+    for i, row in enumerate(rows):
+        if i != r and row[col] != 0:
+            f = row[col]
+            rows[i] = [a - f * b for a, b in zip(row, prow)]
 
 
 def global_assignments(scenario: MeasurementScenario, cap: int = DEFAULT_ASSIGNMENT_CAP) -> list:
@@ -221,12 +230,8 @@ def _assignment_value(coeffs: Mapping[JointOutcome, Fraction], omega: JointOutco
 
 
 def _reproduces_tables(e: EmpiricalModel, weights: Mapping[JointOutcome, Fraction]) -> bool:
-    full = set(e.scenario.measurements)
-    for omega in weights:
-        if not isinstance(omega, JointOutcome) or set(omega.context) != full:
-            return False
-        if any(omega.outcome(m) not in e.scenario.outcomes[m] for m in omega.context):
-            return False
+    if not all(e.scenario.is_event(e.scenario.measurements, omega) for omega in weights):
+        return False
     for ctx in e.scenario.cover:
         table = e.tables[ctx]
         for event in e.scenario.events(ctx):
@@ -239,17 +244,10 @@ def _reproduces_tables(e: EmpiricalModel, weights: Mapping[JointOutcome, Fractio
     return True
 
 
-def decide_local(
-    e: EmpiricalModel, cap: int = DEFAULT_ASSIGNMENT_CAP
-) -> Union[LocalWitness, NonlocalityCertificate]:
-    """Exactly one of: a realizing distribution, or a violated inequality.
-
-    Variables are the global assignments in lexicographic order; one
-    equality per context event plus normalization. The Farkas vector of an
-    infeasible system becomes the certificate's coefficients, its bound
-    recomputed by direct enumeration.
-    """
-    assignments = global_assignments(e.scenario, cap)
+def _equality_system(e: EmpiricalModel, assignments: list) -> tuple:
+    """Rows, right-hand sides and row events of the local-polytope system
+    over the given assignments: one row per context event, in cover and
+    event order, then the normalization row (event None)."""
     rows = []
     rhs = []
     row_events = []
@@ -264,7 +262,21 @@ def decide_local(
     rows.append([Fraction(1)] * len(assignments))
     rhs.append(Fraction(1))
     row_events.append(None)
+    return rows, rhs, row_events
 
+
+def decide_local(
+    e: EmpiricalModel, cap: int = DEFAULT_ASSIGNMENT_CAP
+) -> Union[LocalWitness, NonlocalityCertificate]:
+    """Exactly one of: a realizing distribution, or a violated inequality.
+
+    Variables are the global assignments in lexicographic order; one
+    equality per context event plus normalization. The Farkas vector of an
+    infeasible system becomes the certificate's coefficients, its bound
+    recomputed by direct enumeration.
+    """
+    assignments = global_assignments(e.scenario, cap)
+    rows, rhs, row_events = _equality_system(e, assignments)
     result = lp_feasibility(rows, rhs)
     if isinstance(result, Feasible):
         weights = {omega: w for omega, w in zip(assignments, result.x) if w != 0}
@@ -333,12 +345,7 @@ def _solve_linear(rows: list, rhs: list) -> Optional[list]:
         if pivot_row is None:
             continue
         aug[rank], aug[pivot_row] = aug[pivot_row], aug[rank]
-        pv = aug[rank][col]
-        aug[rank] = [v / pv for v in aug[rank]]
-        for i in range(m):
-            if i != rank and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[rank])]
+        _pivot(aug, rank, col)
         pivot_cols.append(col)
         rank += 1
         if rank == m:
@@ -370,17 +377,7 @@ def quasi_local_decomposition(
         return SignedWeights(dict(decision.dist.weights))
 
     assignments = global_assignments(e.scenario, cap)
-    rows = []
-    rhs = []
-    for ctx in e.scenario.cover:
-        table = e.tables[ctx]
-        for event in e.scenario.events(ctx):
-            rows.append(
-                [Fraction(1) if omega.restrict(ctx) == event else Fraction(0) for omega in assignments]
-            )
-            rhs.append(table.weight(event))
-    rows.append([Fraction(1)] * len(assignments))
-    rhs.append(Fraction(1))
+    rows, rhs, _ = _equality_system(e, assignments)
     solution = _solve_linear(rows, rhs)
     if solution is None:
         raise OntolabError("internal: no signed decomposition for a no-signalling model")

@@ -29,6 +29,7 @@ from .probcore import (
     PASS,
     _ordered,
     is_delta,
+    marginal_agreement,
     marginalize,
 )
 from .properties import Epistemic, Ontic, Property, classify
@@ -132,11 +133,10 @@ class OntologicalModel:
                 f"(missing {sorted(missing)[:3]}, extra {sorted(extra)[:3]})"
             )
         for (lam, ctx), d in responses.items():
-            allowed = set(self.scenario.events(ctx))
-            bad = d.support - allowed
+            bad = [x for x in d.support if not self.scenario.is_event(ctx, x)]
             if bad:
                 raise InvariantViolation(
-                    f"response at ({lam!r}, {ctx}) has events outside the carrier: {sorted(bad)[:3]}"
+                    f"response at ({lam!r}, {ctx}) has events outside the carrier: {_ordered(bad)[:3]}"
                 )
         object.__setattr__(self, "preparations", preps)
         object.__setattr__(self, "ontic_space", states)
@@ -176,14 +176,9 @@ def is_parameter_independent(h: OntologicalModel) -> Check:
     for lam in h.ontic_space:
         for m in h.scenario.measurements:
             ctxs = h.scenario.contexts_with(m)
-            base = marginalize(h.response(lam, ctxs[0]), (m,))
-            for ctx in ctxs[1:]:
-                other = marginalize(h.response(lam, ctx), (m,))
-                if other != base:
-                    return Check(
-                        False,
-                        ParameterDependenceWitness(m, lam, ctxs[0], ctx, base, other),
-                    )
+            base, odd = marginal_agreement(ctxs, lambda ctx: marginalize(h.response(lam, ctx), (m,)))
+            if odd:
+                return Check(False, ParameterDependenceWitness(m, lam, ctxs[0], odd[0], base, odd[1]))
     return PASS
 
 
@@ -226,11 +221,11 @@ def observable_property(h: OntologicalModel, measurement: Any) -> Property:
     ctxs = h.scenario.contexts_with(measurement)
     dists = {}
     for lam in h.ontic_space:
-        base = marginalize(h.response(lam, ctxs[0]), (measurement,))
-        for ctx in ctxs[1:]:
-            other = marginalize(h.response(lam, ctx), (measurement,))
-            if other != base:
-                raise MarginalIllDefined(measurement, lam, ctxs[0], ctx, base, other)
+        base, odd = marginal_agreement(
+            ctxs, lambda ctx: marginalize(h.response(lam, ctx), (measurement,))
+        )
+        if odd:
+            raise MarginalIllDefined(measurement, lam, ctxs[0], odd[0], base, odd[1])
         dists[lam] = base.map_elements(lambda ev: ev.outcome(measurement))
     return Property(h.ontic_space, h.scenario.outcomes[measurement], dists)
 
@@ -263,16 +258,12 @@ class CanonicalLocalModel:
     weights: Mapping[Any, Dist]
 
     def __post_init__(self):
-        full = set(self.scenario.measurements)
         for p, d in self.weights.items():
             for omega in d.support:
-                if not isinstance(omega, JointOutcome) or set(omega.context) != full:
+                if not self.scenario.is_event(self.scenario.measurements, omega):
                     raise InvariantViolation(
                         f"weight for {p!r} is not over total assignments: {omega!r}"
                     )
-                for m in omega.context:
-                    if omega.outcome(m) not in self.scenario.outcomes[m]:
-                        raise InvariantViolation(f"assignment {omega!r} uses an unknown outcome")
         object.__setattr__(self, "weights", {p: self.weights[p] for p in _ordered(self.weights)})
 
     def as_ontological_model(self) -> OntologicalModel:

@@ -30,6 +30,7 @@ from .probcore import (
     OntolabError,
     PASS,
     _ordered,
+    marginal_agreement,
 )
 from .ontomodel import OntologicalModel
 
@@ -146,14 +147,9 @@ def is_no_preparation_signalling(m: PreparationModel) -> Check:
         i = sc.site_index(site)
         for prep in sc.preparations[site]:
             matching = [jp for jp in sc.joint_preparations() if jp[i] == prep]
-            base = m.site_marginal(matching[0], site)
-            for jp in matching[1:]:
-                other = m.site_marginal(jp, site)
-                if other != base:
-                    return Check(
-                        False,
-                        PrepSignallingWitness(site, prep, matching[0], jp, base, other),
-                    )
+            base, odd = marginal_agreement(matching, lambda jp: m.site_marginal(jp, site))
+            if odd:
+                return Check(False, PrepSignallingWitness(site, prep, matching[0], odd[0], base, odd[1]))
     return PASS
 
 

@@ -6,6 +6,14 @@ elements on construction; absence of an element always means exactly zero.
 
 Values are immutable once built and all operations are pure functions, so
 everything defined here can be shared freely across threads.
+
+Two rules used across the package live here once. `marginal_agreement`
+finds the first of a family of marginals that differs from the first one;
+no-signalling, parameter independence, well-defined observable properties
+and no-preparation-signalling are all that comparison.
+`MeasurementScenario.is_event` says whether a value is a joint outcome of
+a context in time proportional to the context, so model validation never
+enumerates an outcome carrier.
 """
 
 from __future__ import annotations
@@ -288,6 +296,15 @@ class MeasurementScenario:
     def make(outcomes: Mapping[Any, Sequence], cover: Iterable[Iterable]) -> "MeasurementScenario":
         return MeasurementScenario(tuple(outcomes), {m: tuple(v) for m, v in outcomes.items()}, tuple(tuple(c) for c in cover))
 
+    def is_event(self, context: tuple, x: Any) -> bool:
+        """Is ``x`` a joint outcome of exactly this (sorted) context, with
+        every outcome drawn from its measurement's outcome set?"""
+        return (
+            isinstance(x, JointOutcome)
+            and x.context == context
+            and all(o in self.outcomes[m] for m, o in x.pairs)
+        )
+
     def events(self, context: Sequence) -> list:
         """All joint outcomes of a context, in lexicographic order."""
         ctx = tuple(_ordered(context))
@@ -349,14 +366,27 @@ class EmpiricalModel:
                 f"tables do not match the cover (missing {sorted(missing)}, extra {sorted(extra)})"
             )
         for ctx, d in tables.items():
-            allowed = set(self.scenario.events(ctx))
-            bad = d.support - allowed
+            bad = [x for x in d.support if not self.scenario.is_event(ctx, x)]
             if bad:
-                raise InvariantViolation(f"table for {ctx} has events outside the carrier: {sorted(bad)[:3]}")
+                raise InvariantViolation(f"table for {ctx} has events outside the carrier: {_ordered(bad)[:3]}")
         object.__setattr__(self, "tables", {c: tables[c] for c in self.scenario.cover})
 
     def table(self, context: Sequence) -> Dist:
         return self.tables[tuple(_ordered(context))]
+
+
+def marginal_agreement(keys: Sequence, marginal) -> tuple:
+    """Compare ``marginal(k)`` for every key against that of ``keys[0]``.
+
+    Returns the base marginal and the first ``(key, marginal)`` pair that
+    differs from it exactly, or None in its place when all agree.
+    """
+    base = marginal(keys[0])
+    for k in keys[1:]:
+        other = marginal(k)
+        if other != base:
+            return base, (k, other)
+    return base, None
 
 
 def check_no_signalling(e: EmpiricalModel) -> Check:
@@ -367,11 +397,9 @@ def check_no_signalling(e: EmpiricalModel) -> Check:
     """
     for m in e.scenario.measurements:
         ctxs = e.scenario.contexts_with(m)
-        base = marginalize(e.tables[ctxs[0]], (m,))
-        for ctx in ctxs[1:]:
-            other = marginalize(e.tables[ctx], (m,))
-            if other != base:
-                return Check(False, SignallingWitness(m, ctxs[0], ctx, base, other))
+        base, odd = marginal_agreement(ctxs, lambda ctx: marginalize(e.tables[ctx], (m,)))
+        if odd:
+            return Check(False, SignallingWitness(m, ctxs[0], odd[0], base, odd[1]))
     return PASS
 
 

@@ -9,9 +9,11 @@ marginals, so the resulting model is parameter independent under exact
 comparison, not merely up to rounding.
 
 Tolerances are fixed small constants collected in one settings record:
-1e-12 for normalization-type checks (norms, traces, hermiticity), 1e-10
-for structural checks (positivity floors, identity sums), 1e-8 for
-grouping nearly equal eigenvalues.
+1e-12 for normalization-type checks (norms, traces, hermiticity, and the
+steering demo's fidelities and reduced-state drift), 1e-10 for structural
+checks (positivity floors, identity sums), 1e-8 for grouping nearly equal
+eigenvalues, and 1e-4 for how close a rationalized CHSH value must come to
+2*sqrt(2).
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ class Tolerances:
     eigenvalue_gap: float = 1e-8
     support: float = 1e-10
     marginal_consistency: float = 1e-9
+    chsh: float = 1e-4
 
 
 DEFAULT_TOL = Tolerances()
@@ -605,3 +608,39 @@ def steering_demo(basis: str, tol: Tolerances = DEFAULT_TOL) -> list:
         p = float(np.real(remote.conj() @ remote))
         ensemble.append((p, Ket(remote / math.sqrt(p))))
     return ensemble
+
+
+def steering_fidelities(basis: str, ensemble: list, tol: Tolerances = DEFAULT_TOL) -> tuple:
+    """Fidelity of each steered state to the matching state of the basis,
+    and whether every fidelity is within the normalization tolerance of 1."""
+    targets = [qubit0(), qubit1()] if basis == "z" else [plus_state(), minus_state()]
+    fidelities = [
+        float(abs(t.amplitudes.conj() @ k.amplitudes) ** 2)
+        for t, (_, k) in zip(targets, ensemble)
+    ]
+    return fidelities, all(f >= 1 - tol.normalization for f in fidelities)
+
+
+def _reduced(ensemble: list) -> np.ndarray:
+    rho = np.zeros((2, 2), dtype=complex)
+    for p, k in ensemble:
+        rho += p * np.outer(k.amplitudes, k.amplitudes.conj())
+    return rho
+
+
+def steering_drift(basis: str, ensemble: list, tol: Tolerances = DEFAULT_TOL) -> tuple:
+    """Reduced matrix of the ensemble steered in ``basis``, its largest entry
+    difference from the one steered in the other basis, and whether that
+    difference is within the normalization tolerance (no signalling)."""
+    rho = _reduced(ensemble)
+    rho_other = _reduced(steering_demo("x" if basis == "z" else "z", tol))
+    drift = float(np.max(np.abs(rho - rho_other)))
+    return rho, drift, drift <= tol.normalization
+
+
+TSIRELSON = 2 * math.sqrt(2)
+
+
+def near_tsirelson(s: Fraction, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Is an exact CHSH value within ``tol.chsh`` of 2*sqrt(2)?"""
+    return abs(float(s) - TSIRELSON) < tol.chsh

@@ -2,8 +2,12 @@
 JSON mode."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -190,6 +194,22 @@ class TestInputErrors:
         assert code == 2
         assert "line 1" in err
 
+    def test_deeply_nested_json(self, cli, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, _, err = cli("validate", str(path))
+        assert code == 2
+        assert "nested too deeply" in err
+
+    def test_not_utf8(self, cli, tmp_path, monkeypatch):
+        path = tmp_path / "prbox.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        monkeypatch.setenv("ONTOLAB_ZOO_DIR", str(tmp_path))
+        for spec in (str(path), "zoo:prbox"):
+            code, _, err = cli("validate", spec)
+            assert code == 2
+            assert "line 1, column 1: not UTF-8" in err
+
     def test_wrong_kind(self, cli):
         code, _, err = cli("check-ns", "zoo:fuzzy-coin-property")
         assert code == 2
@@ -287,3 +307,23 @@ class TestZooCommand:
         code, _, err = cli("zoo", "export", "unicorn")
         assert code == 2
         assert "unicorn" in err
+
+
+NO_NUMPY_PROBE = """
+import contextlib, io, sys
+from ontolab.cli.main import main
+for argv in (["check-ns", "zoo:prbox"], ["decide-local", "zoo:prbox"], ["zoo", "list"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)
+print("numpy" in sys.modules)
+"""
+
+
+def test_exact_subcommands_do_not_load_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
