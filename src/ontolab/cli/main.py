@@ -4,7 +4,9 @@ Every subcommand builds a Report: a list of named checks with verdicts,
 timings, and full witness detail, printed as aligned text or JSON
 (`--json`). Exit codes are a function of the verdicts alone: 0 when
 everything passes (or the model is local), 3 for a non-local decision,
-4 for a failed check with a witness, 2 for any input problem.
+4 for a failed check with a witness, 2 for any input problem, and 5 when
+the solver or a numerical routine breaks its own contract
+(`InternalError`), which no input should cause.
 
 `timed` is the one clock and `Report.check` the one place where a `Check`
 result becomes a verdict. The quantum demos render their own float
@@ -27,6 +29,7 @@ from ..probcore import (
     Check,
     Dist,
     EmpiricalModel,
+    InternalError,
     JointOutcome,
     OntolabError,
     check_no_signalling,
@@ -64,15 +67,9 @@ from ..prepscen import (
 )
 from . import zoo
 from .modelio import (
-    DemoConfig,
+    ENCODERS,
     ModelFile,
-    canonical_to_obj,
-    demo_config_to_obj,
-    empirical_to_obj,
-    ontological_to_obj,
     parse_model_file,
-    preparation_to_obj,
-    property_to_obj,
     rational_to_str,
     serialize_model_file,
 )
@@ -243,18 +240,8 @@ def jsonable(obj):
                 "table": {",".join(ev.outcomes): rational_to_str(w) for ev, w in items},
             }
         return {str(x): rational_to_str(w) for x, w in items}
-    if isinstance(obj, EmpiricalModel):
-        return empirical_to_obj(obj)
-    if isinstance(obj, OntologicalModel):
-        return ontological_to_obj(obj)
-    if isinstance(obj, PreparationModel):
-        return preparation_to_obj(obj)
-    if isinstance(obj, Property):
-        return property_to_obj(obj)
-    if isinstance(obj, CanonicalLocalModel):
-        return canonical_to_obj(obj)
-    if isinstance(obj, DemoConfig):
-        return demo_config_to_obj(obj)
+    if type(obj) in ENCODERS:
+        return ENCODERS[type(obj)](obj)
     if isinstance(obj, NonlocalityCertificate):
         return {
             "coefficients": [
@@ -771,6 +758,9 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
+    except InternalError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 5
     except OntolabError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping, Union
@@ -145,21 +146,15 @@ def _label_list(obj: Any, path: str) -> list:
     return [_label(x, f"{path}[{i}]") for i, x in enumerate(obj)]
 
 
+@contextmanager
 def _guard(path: str):
     """Re-raise construction-time invariant failures with the path attached."""
-
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, OntolabError) and not isinstance(
-                exc, (SchemaError, ModelSyntaxError)
-            ):
-                raise InvariantViolation(f"{path}: {exc}") from exc
-            return False
-
-    return _Ctx()
+    try:
+        yield
+    except (SchemaError, ModelSyntaxError):
+        raise
+    except OntolabError as exc:
+        raise InvariantViolation(f"{path}: {exc}") from exc
 
 
 def scenario_to_obj(s: MeasurementScenario) -> dict:
@@ -405,15 +400,23 @@ def canonical_to_obj(c: CanonicalLocalModel) -> dict:
     }
 
 
-_TO_OBJ = {
-    EmpiricalModel: (KIND_EMPIRICAL, empirical_to_obj),
-    OntologicalModel: (KIND_ONTOLOGICAL, ontological_to_obj),
-    PreparationModel: (KIND_PREPARATION, preparation_to_obj),
-    Property: (KIND_PROPERTY, property_to_obj),
-    DemoConfig: (KIND_DEMO, demo_config_to_obj),
+# The one type -> wire-encoder dispatch, shared with the CLI's JSON output.
+ENCODERS = {
+    EmpiricalModel: empirical_to_obj,
+    OntologicalModel: ontological_to_obj,
+    PreparationModel: preparation_to_obj,
+    Property: property_to_obj,
+    DemoConfig: demo_config_to_obj,
+    CanonicalLocalModel: canonical_to_obj,
 }
 
-_KIND_OF_TYPE = {typ: kind for typ, (kind, _) in _TO_OBJ.items()}
+_KIND_OF_TYPE = {
+    EmpiricalModel: KIND_EMPIRICAL,
+    OntologicalModel: KIND_ONTOLOGICAL,
+    PreparationModel: KIND_PREPARATION,
+    Property: KIND_PROPERTY,
+    DemoConfig: KIND_DEMO,
+}
 
 _FROM_OBJ = {
     KIND_EMPIRICAL: empirical_from_obj,
@@ -425,16 +428,14 @@ _FROM_OBJ = {
 
 
 def model_file_for(payload: Payload) -> ModelFile:
-    kind, _ = _TO_OBJ[type(payload)]
-    return ModelFile(kind, payload)
+    return ModelFile(_KIND_OF_TYPE[type(payload)], payload)
 
 
 def serialize_model_file(mf: ModelFile) -> str:
-    _, encode = _TO_OBJ[type(mf.payload)]
     doc = {
         "format_version": mf.format_version,
         "kind": mf.kind,
-        "payload": encode(mf.payload),
+        "payload": ENCODERS[type(mf.payload)](mf.payload),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

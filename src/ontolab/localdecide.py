@@ -8,13 +8,17 @@ pivoting rule, which excludes cycling. Feasibility yields the realizing
 distribution; infeasibility yields a Farkas vector that, read over the
 assignment space, is a Bell-type inequality the model violates.
 
-Both outputs are self-verifying: `verify_witness` replays the marginal
-sums and `verify_certificate` re-evaluates the inequality by enumerating
-every global assignment, with no reference to the simplex code path.
-The solver side has one equality builder (`_equality_system`, shared by
-`decide_local` and `quasi_local_decomposition`) and one Gauss-Jordan step
+Both outputs are self-verifying: `verify_witness` and
+`verify_signed_weights` push every weight onto its restriction to each
+context and compare the sums with the tables, and `verify_certificate`
+re-evaluates the inequality by enumerating every global assignment, with
+no reference to the simplex code path. No verifier lists the events of a
+context. The solver side has one equality builder (`_equality_system`,
+shared by `decide_local` and `quasi_local_decomposition`, and the only
+caller of `MeasurementScenario.events`) and one Gauss-Jordan step
 (`_pivot`, shared by the simplex and the unrestricted solve); the
-verifiers call neither.
+verifiers call neither. A broken solver invariant raises `InternalError`,
+never an input error.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .probcore import (
     Check,
     Dist,
     EmpiricalModel,
+    InternalError,
     InvariantViolation,
     JointOutcome,
     MeasurementScenario,
@@ -127,7 +132,7 @@ def lp_feasibility(rows: Sequence[Sequence], rhs: Sequence) -> Union[Feasible, I
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best, leave = ratio, i
         if leave is None:
-            raise OntolabError("phase-one objective unbounded; constraint system is corrupt")
+            raise InternalError("phase-one objective unbounded; constraint system is corrupt")
         _pivot(tableau, leave, enter)
         basis[leave] = enter
 
@@ -143,9 +148,9 @@ def lp_feasibility(rows: Sequence[Sequence], rhs: Sequence) -> Union[Feasible, I
     # The Farkas conditions are cheap to confirm and guard the whole module.
     for j in range(n):
         if sum(y[i] * orig_rows[i][j] for i in range(m)) > 0:
-            raise OntolabError("internal: Farkas vector fails yA <= 0")
+            raise InternalError("Farkas vector fails yA <= 0")
     if sum(y[i] * orig_rhs[i] for i in range(m)) <= 0:
-        raise OntolabError("internal: Farkas vector fails y.b > 0")
+        raise InternalError("Farkas vector fails y.b > 0")
     return Infeasible(y)
 
 
@@ -222,25 +227,24 @@ class SignedWeights:
 
 
 def _assignment_value(coeffs: Mapping[JointOutcome, Fraction], omega: JointOutcome) -> Fraction:
-    total = Fraction(0)
-    for ev, c in coeffs.items():
-        if omega.restrict(ev.context) == ev:
-            total += c
-    return total
+    # At most one coefficient per context matches omega: its restriction.
+    contexts = {ev.context for ev in coeffs}
+    return sum((coeffs.get(omega.restrict(ctx), 0) for ctx in contexts), Fraction(0))
 
 
 def _reproduces_tables(e: EmpiricalModel, weights: Mapping[JointOutcome, Fraction]) -> bool:
-    if not all(e.scenario.is_event(e.scenario.measurements, omega) for omega in weights):
+    # Restrictions of total assignments are events and table supports are
+    # events, so comparing the nonzero sums with the tables covers every event.
+    sc = e.scenario
+    if not all(sc.is_event(sc.measurements, omega) for omega in weights):
         return False
-    for ctx in e.scenario.cover:
-        table = e.tables[ctx]
-        for event in e.scenario.events(ctx):
-            mass = sum(
-                (w for omega, w in weights.items() if omega.restrict(ctx) == event),
-                Fraction(0),
-            )
-            if mass != table.weight(event):
-                return False
+    for ctx in sc.cover:
+        mass: dict = {}
+        for omega, w in weights.items():
+            ev = omega.restrict(ctx)
+            mass[ev] = mass.get(ev, 0) + w
+        if {ev: w for ev, w in mass.items() if w != 0} != e.tables[ctx].weights:
+            return False
     return True
 
 
@@ -288,7 +292,7 @@ def decide_local(
         if event is not None and yi != 0
     }
     if not coeffs:
-        raise OntolabError("internal: Farkas vector touches only the normalization row")
+        raise InternalError("Farkas vector touches only the normalization row")
     # Cosmetic normal form: integer coefficients with no common factor.
     denom = lcm(*(c.denominator for c in coeffs.values()))
     numer = gcd(*(abs(c.numerator) for c in coeffs.values()))
@@ -380,7 +384,7 @@ def quasi_local_decomposition(
     rows, rhs, _ = _equality_system(e, assignments)
     solution = _solve_linear(rows, rhs)
     if solution is None:
-        raise OntolabError("internal: no signed decomposition for a no-signalling model")
+        raise InternalError("no signed decomposition for a no-signalling model")
     return SignedWeights({omega: w for omega, w in zip(assignments, solution) if w != 0})
 
 

@@ -31,6 +31,7 @@ from .probcore import (
     is_delta,
     marginal_agreement,
     marginalize,
+    product_mismatch,
 )
 from .properties import Epistemic, Ontic, Property, classify
 
@@ -193,20 +194,23 @@ def is_local(h: OntologicalModel) -> Check:
 def factorizes(h: OntologicalModel) -> Check:
     """Each response must equal the product of its own single-measurement marginals.
 
-    Checked cell by cell over the full event set of each context, so a zero
-    stored by absence still participates.
+    One `product_mismatch` per (state, context): the witness is the first
+    differing event in the context's event order, a zero stored by absence
+    included, and a factorizing response costs one visit per event of its
+    support.
     """
+    sc = h.scenario
     for lam in h.ontic_space:
-        for ctx in h.scenario.cover:
+        for ctx in sc.cover:
             d = h.response(lam, ctx)
-            margs = {m: marginalize(d, (m,)) for m in ctx}
-            for event in h.scenario.events(ctx):
-                product = Fraction(1)
-                for m in ctx:
-                    product *= margs[m].weight(event.restrict((m,)))
-                actual = d.weight(event)
-                if actual != product:
-                    return Check(False, FactorizationWitness(lam, ctx, event, actual, product))
+            odd = product_mismatch(
+                [sc.outcomes[m] for m in ctx],
+                [d.map_elements(lambda ev, m=m: ev.outcome(m)) for m in ctx],
+                lambda cell: d.weight(JointOutcome.of(ctx, cell)),
+            )
+            if odd:
+                cell, actual, product = odd
+                return Check(False, FactorizationWitness(lam, ctx, JointOutcome.of(ctx, cell), actual, product))
     return PASS
 
 

@@ -4,9 +4,10 @@ The translation table is: sites choose preparations the way parties choose
 measurements, joint preparations play the role of contexts, and ontic
 states play the role of outcomes. No-preparation-signalling mirrors the
 no-signalling of empirical models, and preparation independence mirrors
-the factorization of responses. `as_measurement_model` makes the
-translation literal so the mirrored checks can be compared verdict for
-verdict.
+the factorization of responses: both share `probcore.marginal_agreement`
+and `probcore.product_mismatch` with their measurement counterparts.
+`as_measurement_model` makes the translation literal so the mirrored
+checks can be compared verdict for verdict.
 
 `pbr_counterexample` builds the overlap-region model that is exactly
 no-preparation-signalling yet fails independence for every overlap weight
@@ -31,6 +32,7 @@ from .probcore import (
     PASS,
     _ordered,
     marginal_agreement,
+    product_mismatch,
 )
 from .ontomodel import OntologicalModel
 
@@ -84,6 +86,15 @@ class PreparationScenario:
     def joint_states(self) -> list:
         return list(itertools.product(*(self.ontic_spaces[s] for s in self.sites)))
 
+    def is_joint_state(self, js: Any) -> bool:
+        """Is ``js`` a tuple of one declared ontic state per site, in site
+        order? Checked per site, without listing the joint states."""
+        return (
+            isinstance(js, tuple)
+            and len(js) == len(self.sites)
+            and all(lam in self.ontic_spaces[s] for s, lam in zip(self.sites, js))
+        )
+
     def site_index(self, site: Any) -> int:
         try:
             return self.sites.index(site)
@@ -125,11 +136,10 @@ class PreparationModel:
         expected = set(map(tuple, self.scenario.joint_preparations()))
         if set(tables) != expected:
             raise InvariantViolation("tables must cover exactly the joint preparations")
-        carrier = set(self.scenario.joint_states())
         for jp, d in tables.items():
-            stray = d.support - carrier
+            stray = [js for js in d.support if not self.scenario.is_joint_state(js)]
             if stray:
-                raise InvariantViolation(f"table for {jp} weights unknown joint states: {sorted(stray)[:3]}")
+                raise InvariantViolation(f"table for {jp} weights unknown joint states: {_ordered(stray)[:3]}")
         object.__setattr__(self, "tables", {jp: tables[jp] for jp in sorted(tables)})
 
     def table(self, joint_preparation: Sequence) -> Dist:
@@ -157,23 +167,23 @@ def is_preparation_independent(m: PreparationModel) -> Check:
     """Joint tables must factor into the product of their own site marginals.
 
     No-preparation-signalling is required first; its witness is surfaced
-    when it fails. The factorization itself is compared cell by cell over
-    the full joint-state carrier.
+    when it fails. The factorization itself is one `product_mismatch` per
+    joint preparation: the witness is the first differing cell in
+    joint-state order, and a factorizing table costs one visit per cell of
+    its support.
     """
     nps = is_no_preparation_signalling(m)
     if not nps:
         return nps
     sc = m.scenario
     for jp in sc.joint_preparations():
-        marginals = [m.site_marginal(jp, s) for s in sc.sites]
-        table = m.table(jp)
-        for js in sc.joint_states():
-            product = Fraction(1)
-            for lam, marg in zip(js, marginals):
-                product *= marg.weight(lam)
-            actual = table.weight(js)
-            if actual != product:
-                return Check(False, DependenceWitness(tuple(jp), tuple(js), actual, product))
+        odd = product_mismatch(
+            [sc.ontic_spaces[s] for s in sc.sites],
+            [m.site_marginal(jp, s) for s in sc.sites],
+            m.table(jp).weight,
+        )
+        if odd:
+            return Check(False, DependenceWitness(tuple(jp), *odd))
     return PASS
 
 

@@ -7,13 +7,16 @@ elements on construction; absence of an element always means exactly zero.
 Values are immutable once built and all operations are pure functions, so
 everything defined here can be shared freely across threads.
 
-Two rules used across the package live here once. `marginal_agreement`
+Three rules used across the package live here once. `marginal_agreement`
 finds the first of a family of marginals that differs from the first one;
 no-signalling, parameter independence, well-defined observable properties
-and no-preparation-signalling are all that comparison.
-`MeasurementScenario.is_event` says whether a value is a joint outcome of
-a context in time proportional to the context, so model validation never
-enumerates an outcome carrier.
+and no-preparation-signalling are all that comparison. `product_mismatch`
+finds the first cell where a table differs from the product of its
+per-axis marginals; factorization of responses and preparation
+independence are both that comparison, and it visits only the product of
+the marginals' supports. `MeasurementScenario.is_event` says whether a
+value is a joint outcome of a context in time proportional to the context.
+So neither model validation nor any check enumerates an outcome carrier.
 """
 
 from __future__ import annotations
@@ -28,6 +31,11 @@ Rational = Fraction
 
 class OntolabError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class InternalError(OntolabError):
+    """The solver or a numerical routine broke its own contract; the input
+    is not at fault."""
 
 
 class InvariantViolation(OntolabError):
@@ -387,6 +395,28 @@ def marginal_agreement(keys: Sequence, marginal) -> tuple:
         if other != base:
             return base, (k, other)
     return base, None
+
+
+def product_mismatch(pools: Sequence[Sequence], marginals: Sequence[Dist], weight) -> Optional[tuple]:
+    """First cell of ``itertools.product(*pools)`` whose ``weight(cell)``
+    differs from the product of the per-axis ``marginals``, as
+    ``(cell, actual, product)``; None when the table is that product.
+
+    Only cells inside the product of the marginals' supports are visited.
+    A table's support lies inside that product, and every cell outside it
+    is zero on both sides, so the first mismatch is the same as over the
+    full carrier, in the same order, and a table that factorizes costs
+    one visit per cell of its support.
+    """
+    supported = [[x for x in pool if marg.weight(x)] for pool, marg in zip(pools, marginals)]
+    for cell in itertools.product(*supported):
+        product = Fraction(1)
+        for x, marg in zip(cell, marginals):
+            product *= marg.weight(x)
+        actual = weight(cell)
+        if actual != product:
+            return cell, actual, product
+    return None
 
 
 def check_no_signalling(e: EmpiricalModel) -> Check:

@@ -8,11 +8,13 @@ tables are completed against shared rationalized single-measurement
 marginals, so the resulting model is parameter independent under exact
 comparison, not merely up to rounding.
 
-Tolerances are fixed small constants collected in one settings record:
-1e-12 for normalization-type checks (norms, traces, hermiticity, and the
-steering demo's fidelities and reduced-state drift), 1e-10 for structural
-checks (positivity floors, identity sums), 1e-8 for grouping nearly equal
-eigenvalues, and 1e-4 for how close a rationalized CHSH value must come to
+Tolerances are fixed module constants: `NORMALIZATION_TOL` (1e-12) for
+norms, traces, hermiticity, and the steering demo's fidelities and
+reduced-state drift; `STRUCTURE_TOL` (1e-10) for positivity floors and
+identity sums; `EIGENVALUE_GAP` (1e-8) for grouping nearly equal
+eigenvalues; `SUPPORT_TOL` (1e-10) for which eigenspace overlaps count;
+`MARGINAL_TOL` (1e-9) for when float marginals agree across contexts; and
+`CHSH_TOL` (1e-4) for how close a rationalized CHSH value must come to
 2*sqrt(2).
 """
 
@@ -29,6 +31,7 @@ import numpy as np
 from .probcore import (
     Dist,
     InvariantViolation,
+    InternalError,
     JointOutcome,
     MeasurementScenario,
     OntolabError,
@@ -49,19 +52,12 @@ class NotADistribution(OntolabError):
     """Float weights are not close enough to a probability distribution."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical slack for the float-valued checks in this module."""
-
-    normalization: float = 1e-12
-    structure: float = 1e-10
-    eigenvalue_gap: float = 1e-8
-    support: float = 1e-10
-    marginal_consistency: float = 1e-9
-    chsh: float = 1e-4
-
-
-DEFAULT_TOL = Tolerances()
+NORMALIZATION_TOL = 1e-12
+STRUCTURE_TOL = 1e-10
+EIGENVALUE_GAP = 1e-8
+SUPPORT_TOL = 1e-10
+MARGINAL_TOL = 1e-9
+CHSH_TOL = 1e-4
 
 
 def _as_array(values, shape_kind: str) -> np.ndarray:
@@ -74,17 +70,20 @@ def _as_array(values, shape_kind: str) -> np.ndarray:
     return arr
 
 
+def _hermitian(arr: np.ndarray) -> bool:
+    return float(np.max(np.abs(arr - arr.conj().T))) <= NORMALIZATION_TOL
+
+
 @dataclass(frozen=True, eq=False)
 class Ket:
     """Unit vector; the norm must be 1 within the normalization tolerance."""
 
     amplitudes: np.ndarray
-    tol: Tolerances = field(default=DEFAULT_TOL, repr=False)
 
     def __post_init__(self):
         arr = _as_array(self.amplitudes, "vector")
         norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > self.tol.normalization:
+        if abs(norm - 1.0) > NORMALIZATION_TOL:
             raise InvariantViolation(f"ket norm {norm} is not 1")
         object.__setattr__(self, "amplitudes", arr)
 
@@ -102,16 +101,15 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive semi-definite within tolerances."""
 
     matrix: np.ndarray
-    tol: Tolerances = field(default=DEFAULT_TOL, repr=False)
 
     def __post_init__(self):
         arr = _as_array(self.matrix, "matrix")
-        if float(np.max(np.abs(arr - arr.conj().T))) > self.tol.normalization:
+        if not _hermitian(arr):
             raise InvariantViolation("density matrix is not hermitian")
-        if abs(float(np.real(np.trace(arr))) - 1.0) > self.tol.normalization:
+        if abs(float(np.real(np.trace(arr))) - 1.0) > NORMALIZATION_TOL:
             raise InvariantViolation(f"trace {np.trace(arr)} is not 1")
         eigs = np.linalg.eigvalsh(arr)
-        if float(eigs.min()) < -self.tol.structure:
+        if float(eigs.min()) < -STRUCTURE_TOL:
             raise InvariantViolation(f"negative eigenvalue {eigs.min()}")
         object.__setattr__(self, "matrix", arr)
 
@@ -130,7 +128,6 @@ class Povm:
     """Labelled effects: positive semi-definite, summing to the identity."""
 
     effects: tuple
-    tol: Tolerances = field(default=DEFAULT_TOL, repr=False)
 
     def __post_init__(self):
         effects = []
@@ -148,12 +145,12 @@ class Povm:
             raise DimensionMismatch("effects act on different dimensions")
         total = np.zeros((effects[0][1].shape[0],) * 2, dtype=np.complex128)
         for _, arr in effects:
-            if float(np.max(np.abs(arr - arr.conj().T))) > self.tol.normalization:
+            if not _hermitian(arr):
                 raise InvariantViolation("effect is not hermitian")
-            if float(np.linalg.eigvalsh(arr).min()) < -self.tol.structure:
+            if float(np.linalg.eigvalsh(arr).min()) < -STRUCTURE_TOL:
                 raise InvariantViolation("effect has a negative eigenvalue")
             total = total + arr
-        if float(np.max(np.abs(total - np.eye(total.shape[0])))) > self.tol.structure:
+        if float(np.max(np.abs(total - np.eye(total.shape[0])))) > STRUCTURE_TOL:
             raise InvariantViolation("effects do not sum to the identity")
         object.__setattr__(self, "effects", tuple(effects))
 
@@ -175,17 +172,16 @@ class Observable:
     """
 
     matrix: np.ndarray
-    tol: Tolerances = field(default=DEFAULT_TOL, repr=False)
     spectrum: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         arr = _as_array(self.matrix, "matrix")
-        if float(np.max(np.abs(arr - arr.conj().T))) > self.tol.normalization:
+        if not _hermitian(arr):
             raise InvariantViolation("observable is not hermitian")
         vals, vecs = np.linalg.eigh(arr)
         groups: list[list[int]] = []
         for i, v in enumerate(vals):
-            if groups and v - vals[groups[-1][-1]] <= self.tol.eigenvalue_gap:
+            if groups and v - vals[groups[-1][-1]] <= EIGENVALUE_GAP:
                 groups[-1].append(i)
             else:
                 groups.append([i])
@@ -198,7 +194,7 @@ class Observable:
             proj.setflags(write=False)
             spectrum.append((ev, proj))
             recon = recon + ev * proj
-        if float(np.max(np.abs(recon - arr))) > self.tol.structure:
+        if float(np.max(np.abs(recon - arr))) > STRUCTURE_TOL:
             raise InvariantViolation("spectral reconstruction drifted beyond tolerance")
         object.__setattr__(self, "matrix", arr)
         object.__setattr__(self, "spectrum", tuple(spectrum))
@@ -267,7 +263,7 @@ def pauli_x() -> Observable:
     return Observable(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
-def born(rho: DensityMatrix, povm: Povm, tol: Tolerances = DEFAULT_TOL) -> dict:
+def born(rho: DensityMatrix, povm: Povm) -> dict:
     """Outcome probabilities tr(rho E), clipped of sub-tolerance negative
     noise and renormalized to sum to one."""
     if rho.dimension != povm.dimension:
@@ -278,12 +274,12 @@ def born(rho: DensityMatrix, povm: Povm, tol: Tolerances = DEFAULT_TOL) -> dict:
     for label, effect in povm.effects:
         p = float(np.real(np.trace(rho.matrix @ effect)))
         if p < 0:
-            if p < -tol.structure:
+            if p < -STRUCTURE_TOL:
                 raise InvariantViolation(f"outcome {label!r} has probability {p}")
             p = 0.0
         raw[label] = p
     total = sum(raw.values())
-    if abs(total - 1.0) > tol.structure:
+    if abs(total - 1.0) > STRUCTURE_TOL:
         raise InvariantViolation(f"probabilities sum to {total}")
     return {label: p / total for label, p in raw.items()}
 
@@ -317,9 +313,7 @@ def _approx(x: float, max_denominator: int) -> Fraction:
     return Fraction(x).limit_denominator(max_denominator)
 
 
-def rationalize(
-    probs: Mapping[Any, float], max_denominator: int = 10**6, tol: Tolerances = DEFAULT_TOL
-) -> Dist:
+def rationalize(probs: Mapping[Any, float], max_denominator: int = 10**6) -> Dist:
     """Snap float probabilities to exact rationals summing to exactly one.
 
     Each entry becomes its best rational approximation with denominator at
@@ -333,7 +327,7 @@ def rationalize(
     cleaned = {}
     for label in labels:
         p = float(probs[label])
-        if p < -tol.normalization or p > 1 + tol.normalization:
+        if p < -NORMALIZATION_TOL or p > 1 + NORMALIZATION_TOL:
             raise NotADistribution(f"entry {label!r} = {p} is outside [0, 1]")
         cleaned[label] = min(max(p, 0.0), 1.0)
     total = sum(cleaned.values())
@@ -385,7 +379,7 @@ def _complete_2d(rowm, colm, target, nrows, ncols, max_denominator):
     corner = rowm[nrows - 1] - sum(cell[(nrows - 1, j)] for j in range(ncols - 1))
     check = colm[ncols - 1] - sum(cell[(i, ncols - 1)] for i in range(nrows - 1))
     if corner != check:
-        raise OntolabError("internal: inconsistent table completion")
+        raise InternalError("inconsistent table completion")
     if corner < 0:
         deficit = -corner
         i_star = max(range(nrows - 1), key=lambda i: cell[(i, ncols - 1)], default=None)
@@ -443,7 +437,6 @@ def psi_complete_model(
     preps: Mapping[str, Ket],
     measurements: Mapping[tuple, Povm],
     max_denominator: int = 10**6,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> OntologicalModel:
     """Ontological model whose ontic states are the preparations' own kets.
 
@@ -492,7 +485,7 @@ def psi_complete_model(
     responses = {}
     for name in _ordered(preps):
         rho = DensityMatrix.from_ket(preps[name])
-        raw = {ctx: born(rho, contexts[ctx], tol) for ctx in scenario.cover}
+        raw = {ctx: born(rho, contexts[ctx]) for ctx in scenario.cover}
         exact_marginals = {}
         for m in scenario.measurements:
             ctx = scenario.contexts_with(m)[0]
@@ -500,7 +493,7 @@ def psi_complete_model(
             floats = {o: 0.0 for o in outcome_order[m]}
             for label, p in raw[ctx].items():
                 floats[label[i]] += p
-            exact_marginals[m] = rationalize(floats, max_denominator, tol)
+            exact_marginals[m] = rationalize(floats, max_denominator)
         for ctx in scenario.cover:
             table = raw[ctx]
             consistent = True
@@ -512,7 +505,7 @@ def psi_complete_model(
                     abs(axis[o] - float(exact_marginals[m].weight(o)))
                     for o in outcome_order[m]
                 )
-                if drift > tol.marginal_consistency:
+                if drift > MARGINAL_TOL:
                     consistent = False
                     break
             if consistent:
@@ -523,7 +516,7 @@ def psi_complete_model(
                     {JointOutcome.of(ctx, combo): w for combo, w in joint.items()}
                 )
             else:
-                snapped = rationalize(table, max_denominator, tol)
+                snapped = rationalize(table, max_denominator)
                 dist = snapped.map_elements(lambda label: JointOutcome.of(ctx, label))
             responses[(name, ctx)] = dist
 
@@ -557,7 +550,6 @@ class EpistemicValues:
 def observable_epistemicity(
     psi: Ket,
     a: Observable,
-    tol: Tolerances = DEFAULT_TOL,
     max_denominator: int = 10**6,
 ) -> Union[OnticValue, EpistemicValues]:
     """Does the state fix the observable's value?
@@ -574,21 +566,21 @@ def observable_epistemicity(
     overlaps = []
     for ev, proj in a.spectrum:
         mass = float(np.real(v.conj() @ proj @ v))
-        if mass > tol.support:
+        if mass > SUPPORT_TOL:
             overlaps.append((ev, mass))
     if not overlaps:
-        raise OntolabError("internal: state has no eigenspace overlap")
+        raise InternalError("state has no eigenspace overlap")
     if len(overlaps) == 1:
         return OnticValue(overlaps[0][0])
     snapped = rationalize(
-        {i: mass for i, (_, mass) in enumerate(overlaps)}, max_denominator, tol
+        {i: mass for i, (_, mass) in enumerate(overlaps)}, max_denominator
     )
     return EpistemicValues(
         overlaps[0][0], overlaps[1][0], (snapped.weight(0), snapped.weight(1))
     )
 
 
-def steering_demo(basis: str, tol: Tolerances = DEFAULT_TOL) -> list:
+def steering_demo(basis: str) -> list:
     """Measure one half of the maximally entangled pair; list the remote
     ensemble as (probability, conditional state) pairs.
 
@@ -610,7 +602,7 @@ def steering_demo(basis: str, tol: Tolerances = DEFAULT_TOL) -> list:
     return ensemble
 
 
-def steering_fidelities(basis: str, ensemble: list, tol: Tolerances = DEFAULT_TOL) -> tuple:
+def steering_fidelities(basis: str, ensemble: list) -> tuple:
     """Fidelity of each steered state to the matching state of the basis,
     and whether every fidelity is within the normalization tolerance of 1."""
     targets = [qubit0(), qubit1()] if basis == "z" else [plus_state(), minus_state()]
@@ -618,7 +610,7 @@ def steering_fidelities(basis: str, ensemble: list, tol: Tolerances = DEFAULT_TO
         float(abs(t.amplitudes.conj() @ k.amplitudes) ** 2)
         for t, (_, k) in zip(targets, ensemble)
     ]
-    return fidelities, all(f >= 1 - tol.normalization for f in fidelities)
+    return fidelities, all(f >= 1 - NORMALIZATION_TOL for f in fidelities)
 
 
 def _reduced(ensemble: list) -> np.ndarray:
@@ -628,19 +620,19 @@ def _reduced(ensemble: list) -> np.ndarray:
     return rho
 
 
-def steering_drift(basis: str, ensemble: list, tol: Tolerances = DEFAULT_TOL) -> tuple:
+def steering_drift(basis: str, ensemble: list) -> tuple:
     """Reduced matrix of the ensemble steered in ``basis``, its largest entry
     difference from the one steered in the other basis, and whether that
     difference is within the normalization tolerance (no signalling)."""
     rho = _reduced(ensemble)
-    rho_other = _reduced(steering_demo("x" if basis == "z" else "z", tol))
+    rho_other = _reduced(steering_demo("x" if basis == "z" else "z"))
     drift = float(np.max(np.abs(rho - rho_other)))
-    return rho, drift, drift <= tol.normalization
+    return rho, drift, drift <= NORMALIZATION_TOL
 
 
 TSIRELSON = 2 * math.sqrt(2)
 
 
-def near_tsirelson(s: Fraction, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Is an exact CHSH value within ``tol.chsh`` of 2*sqrt(2)?"""
-    return abs(float(s) - TSIRELSON) < tol.chsh
+def near_tsirelson(s: Fraction) -> bool:
+    """Is an exact CHSH value within ``CHSH_TOL`` of 2*sqrt(2)?"""
+    return abs(float(s) - TSIRELSON) < CHSH_TOL

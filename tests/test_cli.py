@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from ontolab import Dist, EmpiricalModel, Property
-from ontolab.probcore import JointOutcome
+from ontolab.probcore import InternalError, JointOutcome
 from ontolab.cli.main import main
 from ontolab.cli.modelio import model_file_for, parse_model_file, serialize_model_file
 from ontolab.cli.zoo import bell_scenario, pr_box
@@ -227,6 +227,23 @@ class TestInputErrors:
     def test_no_arguments(self, cli):
         code, _, _ = cli()
         assert code == 2
+
+
+class TestInternalErrors:
+    def test_solver_fault_is_not_an_input_error(self, cli, monkeypatch, tmp_path):
+        def broken(e, cap):
+            raise InternalError("Farkas vector fails y.b > 0")
+
+        monkeypatch.setattr("ontolab.cli.main.decide_local", broken)
+        code, out, err = cli("decide-local", "zoo:prbox")
+        assert code == 5
+        assert out == ""
+        assert err == "internal error: Farkas vector fails y.b > 0\n"
+        path = tmp_path / "broken.json"
+        path.write_text("{]")
+        code, _, err = cli("decide-local", str(path))
+        assert code == 2
+        assert err.startswith("error: line 1")
 
 
 class TestJsonMode:
