@@ -3,10 +3,14 @@
 A model is locally realizable when some probability distribution over
 global outcome assignments reproduces every context table. Membership is
 an exact rational linear feasibility problem, solved here by a phase-one
-primal simplex over `fractions.Fraction` with Bland's smallest-index
-pivoting rule, which excludes cycling. Feasibility yields the realizing
-distribution; infeasibility yields a Farkas vector that, read over the
-assignment space, is a Bell-type inequality the model violates.
+primal simplex with Bland's smallest-index pivoting rule, which excludes
+cycling. The tableau is fraction-free: each row is a list of Python ints
+over one positive row denominator, updated by integer cross-multiplication
+and reduced by the row gcd (Bareiss, Math. Comp. 22, 565 (1968)), so no
+cell is ever a `Fraction`; results are converted to `Fraction` on the way
+out. Feasibility yields the realizing distribution; infeasibility yields a
+Farkas vector that, read over the assignment space, is a Bell-type
+inequality the model violates.
 
 Both outputs are self-verifying: `verify_witness` and
 `verify_signed_weights` push every weight onto its restriction to each
@@ -15,10 +19,11 @@ re-evaluates the inequality by enumerating every global assignment, with
 no reference to the simplex code path. No verifier lists the events of a
 context. The solver side has one equality builder (`_equality_system`,
 shared by `decide_local` and `quasi_local_decomposition`, and the only
-caller of `MeasurementScenario.events`) and one Gauss-Jordan step
-(`_pivot`, shared by the simplex and the unrestricted solve); the
-verifiers call neither. A broken solver invariant raises `InternalError`,
-never an input error.
+caller of `MeasurementScenario.events`; its 0/1 int rows also give the
+certificate's local bound) and one integer Gauss-Jordan step (`_pivot`,
+shared by the simplex and the unrestricted solve); the verifiers call
+neither. A broken solver invariant raises `InternalError`, never an input
+error.
 """
 
 from __future__ import annotations
@@ -41,7 +46,11 @@ from .probcore import (
     check_no_signalling,
 )
 
-DEFAULT_ASSIGNMENT_CAP = 10**6
+# The largest binary two-party rung, (5,5,2), on which a PR box at
+# visibility 9/10 and 4-point local mixtures decided within 10 s on three
+# seeds; at (5,6,2) one local mixture took minutes, Bland's rule stalling
+# for thousands of pivots (README).
+DEFAULT_ASSIGNMENT_CAP = 1024
 
 
 class DimensionMismatch(OntolabError):
@@ -81,88 +90,151 @@ def lp_feasibility(rows: Sequence[Sequence], rhs: Sequence) -> Union[Feasible, I
     artificial variable is added per row, and the artificial mass is
     minimised under Bland's rule. Zero optimum reads off a feasible point;
     a positive optimum reads the Farkas vector off the final cost row.
+
+    Entries may be ints, `Fraction`s or anything `Fraction` accepts. The
+    tableau holds each row as Python ints over one positive row
+    denominator (see `_pivot`); the entering column is picked by sign and
+    the ratio test compares by cross-multiplication, so the pivots, and
+    the `Fraction` outputs, are those of a `Fraction` tableau.
     """
     m = len(rows)
     if len(rhs) != m:
         raise DimensionMismatch(f"{m} rows but {len(rhs)} right-hand sides")
     n = len(rows[0]) if m else 0
-    orig_rows = [[Fraction(v) for v in r] for r in rows]
-    orig_rhs = [Fraction(b) for b in rhs]
-    for r in orig_rows:
+    for r in rows:
         if len(r) != n:
             raise DimensionMismatch("ragged constraint matrix")
     if m == 0:
         return Feasible(tuple(Fraction(0) for _ in range(n)))
 
+    # orig[i] / scale[i] is row i of [A | b], read exactly.
+    orig, scale = _integer_rows(rows, rhs)
     sign = []
     tableau = []
     for i in range(m):
-        row, b = orig_rows[i], orig_rhs[i]
-        if b < 0:
+        row = orig[i]
+        if row[n] < 0:
             sign.append(-1)
-            row, b = [-v for v in row], -b
+            row = [-v for v in row]
         else:
             sign.append(1)
-            row = list(row)
-        art = [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-        tableau.append(row + art + [b])
+        art = [0] * m
+        art[i] = scale[i]
+        tableau.append(row[:n] + art + [row[n]])
+    dens = list(scale)
     ncols = n + m
     basis = [n + i for i in range(m)]
     # Reduced costs for min sum-of-artificials with the artificial basis,
     # carried as the last tableau row; its last entry is minus the
     # current objective value.
-    zrow = []
-    for j in range(ncols + 1):
-        col_sum = sum(tableau[i][j] for i in range(m))
-        cost = Fraction(1) if n <= j < ncols else Fraction(0)
-        zrow.append(cost - col_sum)
+    unit = lcm(*scale)
+    zrow = [0] * n + [unit] * m + [0]
+    for d, r in zip(scale, tableau):
+        w = unit // d
+        zrow = [z - w * v for z, v in zip(zrow, r)]
     tableau.append(zrow)
+    dens.append(unit)
 
     while True:
         zrow = tableau[m]
         enter = next((j for j in range(ncols) if zrow[j] < 0), None)
         if enter is None:
             break
+        # Smallest ratio rhs/coef over positive coefficients; the row
+        # denominators cancel, and a/c < b/d is a*d < b*c for c, d > 0.
         leave = None
-        best = None
         for i in range(m):
             coef = tableau[i][enter]
             if coef > 0:
-                ratio = tableau[i][-1] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
+                if leave is None:
+                    leave = i
+                    continue
+                here = tableau[i][-1] * tableau[leave][enter]
+                best = tableau[leave][-1] * coef
+                if here < best or (here == best and basis[i] < basis[leave]):
+                    leave = i
         if leave is None:
             raise InternalError("phase-one objective unbounded; constraint system is corrupt")
-        _pivot(tableau, leave, enter)
+        _pivot(tableau, dens, leave, enter)
         basis[leave] = enter
 
-    objective = -zrow[-1]
-    if objective == 0:
+    if zrow[-1] == 0:
         x = [Fraction(0)] * n
         for i, var in enumerate(basis):
             if var < n:
-                x[var] = tableau[i][-1]
+                x[var] = Fraction(tableau[i][-1], dens[i])
         return Feasible(tuple(x))
 
-    y = tuple(sign[i] * (1 - zrow[n + i]) for i in range(m))
+    zden = dens[m]
+    ynum = [sign[i] * (zden - zrow[n + i]) for i in range(m)]
+    y = tuple(Fraction(v, zden) for v in ynum)
     # The Farkas conditions are cheap to confirm and guard the whole module.
+    # They are checked in integers: w_i = y_i * zden * unit / scale_i is a
+    # positive rescaling of y_i / scale_i, the weight of integer row i.
+    w = [v * (unit // d) for v, d in zip(ynum, scale)]
     for j in range(n):
-        if sum(y[i] * orig_rows[i][j] for i in range(m)) > 0:
+        if sum(wi * r[j] for wi, r in zip(w, orig) if r[j]) > 0:
             raise InternalError("Farkas vector fails yA <= 0")
-    if sum(y[i] * orig_rhs[i] for i in range(m)) <= 0:
+    if sum(wi * r[n] for wi, r in zip(w, orig)) <= 0:
         raise InternalError("Farkas vector fails y.b > 0")
     return Infeasible(y)
 
 
-def _pivot(rows: list, r: int, col: int) -> None:
-    """Gauss-Jordan step: scale row r to a unit entry at col, then clear col
-    from every other row, in row order."""
-    pivot = rows[r][col]
-    prow = rows[r] = [v / pivot for v in rows[r]]
+def _integer_rows(rows: Sequence[Sequence], rhs: Sequence) -> tuple:
+    """Each row of [A | b] as a list of ints and one positive scale, the
+    lcm of its entries' denominators, so that ints / scale is the row.
+    Rows of plain ints (the incidence rows) take the denominator of b."""
+    out = []
+    scales = []
+    for r, b in zip(rows, rhs):
+        if all(type(v) is int for v in r):
+            b = b if isinstance(b, (int, Fraction)) else Fraction(b)
+            d = b.denominator
+            out.append([v * d for v in r] + [b.numerator])
+        else:
+            vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in (*r, b)]
+            d = lcm(*(v.denominator for v in vals))
+            out.append([v.numerator * (d // v.denominator) for v in vals])
+        scales.append(d)
+    return out, scales
+
+
+def _pivot(rows: list, dens: list, r: int, col: int) -> None:
+    """Fraction-free Gauss-Jordan step on integer rows: row i stands for
+    rows[i] / dens[i] with dens[i] > 0.
+
+    Row r is scaled to a unit entry at col (its denominator becomes the
+    pivot). Every other row with a nonzero f at col becomes
+    row*p - f*prow over den*p (p the pivot), which clears col, then is
+    divided by the gcd of its entries and denominator; rows with a zero at
+    col are left alone.
+    """
+    prow = rows[r]
+    p = prow[col]
+    if p < 0:
+        prow = [-v for v in prow]
+        p = -p
+    g = gcd(*prow)
+    if g > 1:
+        prow = [v // g for v in prow]
+        p //= g
+    rows[r] = prow
+    dens[r] = p
+    nz = [(j, v) for j, v in enumerate(prow) if v]
     for i, row in enumerate(rows):
-        if i != r and row[col] != 0:
-            f = row[col]
-            rows[i] = [a - f * b for a, b in zip(row, prow)]
+        f = row[col]
+        if i == r or not f:
+            continue
+        new = [a * p for a in row] if p != 1 else list(row)
+        for j, v in nz:
+            new[j] -= f * v
+        d = dens[i] * p
+        g = gcd(d, *new)
+        if g > 1:
+            new = [a // g for a in new]
+            d //= g
+        rows[i] = new
+        dens[i] = d
 
 
 def global_assignments(scenario: MeasurementScenario, cap: int = DEFAULT_ASSIGNMENT_CAP) -> list:
@@ -226,12 +298,6 @@ class SignedWeights:
         return {w: v for w, v in self.weights.items() if v < 0}
 
 
-def _assignment_value(coeffs: Mapping[JointOutcome, Fraction], omega: JointOutcome) -> Fraction:
-    # At most one coefficient per context matches omega: its restriction.
-    contexts = {ev.context for ev in coeffs}
-    return sum((coeffs.get(omega.restrict(ctx), 0) for ctx in contexts), Fraction(0))
-
-
 def _reproduces_tables(e: EmpiricalModel, weights: Mapping[JointOutcome, Fraction]) -> bool:
     # Restrictions of total assignments are events and table supports are
     # events, so comparing the nonzero sums with the tables covers every event.
@@ -250,20 +316,31 @@ def _reproduces_tables(e: EmpiricalModel, weights: Mapping[JointOutcome, Fractio
 
 def _equality_system(e: EmpiricalModel, assignments: list) -> tuple:
     """Rows, right-hand sides and row events of the local-polytope system
-    over the given assignments: one row per context event, in cover and
-    event order, then the normalization row (event None)."""
+    over the given total assignments: one 0/1 int row per context event, in
+    cover and event order, then the normalization row (event None).
+
+    Each assignment is restricted once per context and marks its event's
+    row. Every total assignment lists its pairs in the same sorted order,
+    so the restriction is the pairs at the context's positions, which is
+    exactly the `pairs` of `omega.restrict(ctx)`.
+    """
     rows = []
     rhs = []
     row_events = []
+    n = len(assignments)
+    position = {m: i for i, (m, _) in enumerate(assignments[0].pairs)}
     for ctx in e.scenario.cover:
         table = e.tables[ctx]
+        index = {}
         for event in e.scenario.events(ctx):
-            rows.append(
-                [Fraction(1) if omega.restrict(ctx) == event else Fraction(0) for omega in assignments]
-            )
+            index[event.pairs] = len(rows)
+            rows.append([0] * n)
             rhs.append(table.weight(event))
             row_events.append(event)
-    rows.append([Fraction(1)] * len(assignments))
+        at = sorted(position[m] for m in ctx)
+        for k, omega in enumerate(assignments):
+            rows[index[tuple(map(omega.pairs.__getitem__, at))]][k] = 1
+    rows.append([1] * n)
     rhs.append(Fraction(1))
     row_events.append(None)
     return rows, rhs, row_events
@@ -276,8 +353,9 @@ def decide_local(
 
     Variables are the global assignments in lexicographic order; one
     equality per context event plus normalization. The Farkas vector of an
-    infeasible system becomes the certificate's coefficients, its bound
-    recomputed by direct enumeration.
+    infeasible system becomes the certificate's coefficients, brought to
+    coprime integers; its bound is the largest value of the inequality over
+    the assignments, read off the 0/1 incidence rows.
     """
     assignments = global_assignments(e.scenario, cap)
     rows, rhs, row_events = _equality_system(e, assignments)
@@ -287,23 +365,28 @@ def decide_local(
         return LocalWitness(Dist(weights))
 
     coeffs = {
-        event: yi
-        for event, yi in zip(row_events, result.y)
+        i: yi
+        for i, (event, yi) in enumerate(zip(row_events, result.y))
         if event is not None and yi != 0
     }
     if not coeffs:
         raise InternalError("Farkas vector touches only the normalization row")
     # Cosmetic normal form: integer coefficients with no common factor.
     denom = lcm(*(c.denominator for c in coeffs.values()))
-    numer = gcd(*(abs(c.numerator) for c in coeffs.values()))
-    scale = Fraction(denom, numer)
-    coeffs = {ev: c * scale for ev, c in coeffs.items()}
+    numer = gcd(*(c.numerator for c in coeffs.values()))
+    coeffs = {i: c.numerator * (denom // c.denominator) // numer for i, c in coeffs.items()}
 
+    # An assignment's value is the sum of the coefficients of the rows it marks.
+    values = [0] * len(assignments)
+    for i, c in coeffs.items():
+        values = [v + c if hit else v for v, hit in zip(values, rows[i])]
     model_value = sum(
-        (c * e.table(ev.context).weight(ev) for ev, c in coeffs.items()), Fraction(0)
+        (c * e.table(row_events[i].context).weight(row_events[i]) for i, c in coeffs.items()),
+        Fraction(0),
     )
-    local_bound = max(_assignment_value(coeffs, omega) for omega in assignments)
-    return NonlocalityCertificate(coeffs, model_value, local_bound)
+    return NonlocalityCertificate(
+        {row_events[i]: Fraction(c) for i, c in coeffs.items()}, model_value, Fraction(max(values))
+    )
 
 
 def verify_witness(e: EmpiricalModel, witness: LocalWitness) -> bool:
@@ -313,8 +396,9 @@ def verify_witness(e: EmpiricalModel, witness: LocalWitness) -> bool:
 
 def verify_certificate(e: EmpiricalModel, cert: NonlocalityCertificate) -> bool:
     """Re-evaluate the inequality from scratch by full enumeration."""
+    coeffs = cert.coefficients
     model_value = Fraction(0)
-    for ev, c in cert.coefficients.items():
+    for ev, c in coeffs.items():
         try:
             table = e.table(ev.context)
         except KeyError:
@@ -322,12 +406,14 @@ def verify_certificate(e: EmpiricalModel, cert: NonlocalityCertificate) -> bool:
         if any(m not in e.scenario.measurements for m in ev.context):
             return False
         model_value += c * table.weight(ev)
+    # At most one coefficient per context matches an assignment: its restriction.
+    contexts = {ev.context for ev in coeffs}
     ms = e.scenario.measurements
     pools = [e.scenario.outcomes[m] for m in ms]
     local_bound = None
     for combo in itertools.product(*pools):
         omega = JointOutcome.of(ms, combo)
-        v = _assignment_value(cert.coefficients, omega)
+        v = sum((coeffs.get(omega.restrict(ctx), 0) for ctx in contexts), Fraction(0))
         if local_bound is None or v > local_bound:
             local_bound = v
     return (
@@ -338,10 +424,13 @@ def verify_certificate(e: EmpiricalModel, cert: NonlocalityCertificate) -> bool:
 
 
 def _solve_linear(rows: list, rhs: list) -> Optional[list]:
-    """One exact solution of an unrestricted linear system, or None."""
+    """One exact solution of an unrestricted linear system, or None.
+
+    Gauss-Jordan on the integer rows of `_pivot`, with the first nonzero
+    row at or below the rank as pivot; free variables are zero."""
     m = len(rows)
     n = len(rows[0]) if m else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    aug, dens = _integer_rows(rows, rhs)
     pivot_cols = []
     rank = 0
     for col in range(n):
@@ -349,7 +438,8 @@ def _solve_linear(rows: list, rhs: list) -> Optional[list]:
         if pivot_row is None:
             continue
         aug[rank], aug[pivot_row] = aug[pivot_row], aug[rank]
-        _pivot(aug, rank, col)
+        dens[rank], dens[pivot_row] = dens[pivot_row], dens[rank]
+        _pivot(aug, dens, rank, col)
         pivot_cols.append(col)
         rank += 1
         if rank == m:
@@ -359,7 +449,7 @@ def _solve_linear(rows: list, rhs: list) -> Optional[list]:
             return None
     x = [Fraction(0)] * n
     for i, col in enumerate(pivot_cols):
-        x[col] = aug[i][n]
+        x[col] = Fraction(aug[i][n], dens[i])
     return x
 
 
