@@ -51,7 +51,6 @@ from ..localdecide import (
     DEFAULT_ASSIGNMENT_CAP,
     LocalWitness,
     NonlocalityCertificate,
-    SignedWeights,
     decide_local,
     verify_certificate,
     verify_witness,
@@ -169,8 +168,6 @@ def describe(obj) -> str:
             f"model value {frac(obj.model_value)} exceeds the local bound {frac(obj.local_bound)}"
         )
         return "\n".join(lines)
-    if isinstance(obj, SignedWeights):
-        return "\n".join(_weight_lines("signed weights over global assignments:", obj.weights))
     if isinstance(obj, CanonicalLocalModel):
         lines = []
         for p, d in obj.weights.items():
@@ -184,11 +181,6 @@ def describe(obj) -> str:
             for js in obj.scenario.joint_states():
                 lines.append(f"  ({', '.join(js)}): {frac(table.weight(tuple(js)))}")
         return "\n".join(lines)
-    if isinstance(obj, EmpiricalModel):
-        lines = []
-        for ctx in obj.scenario.cover:
-            lines.append(f"context {_ctx_text(ctx)}: {dist_text(obj.tables[ctx])}")
-        return "\n".join(lines)
     if isinstance(obj, Ontic):
         cells = ", ".join(f"{lam} -> {v}" for lam, v in obj.assignment.items())
         return f"every state fixes a value: {cells}"
@@ -197,12 +189,6 @@ def describe(obj) -> str:
             f"state {obj.state} is compatible with both "
             f"{obj.value_a!r} and {obj.value_b!r}"
         )
-    if isinstance(obj, Dist):
-        return dist_text(obj)
-    if isinstance(obj, Mapping):
-        return "\n".join(f"{k}: {describe(v) if not isinstance(v, str) else v}" for k, v in obj.items())
-    if isinstance(obj, Fraction):
-        return frac(obj)
     if is_dataclass(obj):
         parts = []
         for f in fields(obj):
@@ -257,12 +243,6 @@ def jsonable(obj):
         }
     if isinstance(obj, LocalWitness):
         return {"weights": jsonable(obj.dist)}
-    if isinstance(obj, SignedWeights):
-        items = sorted(obj.weights.items())
-        return {
-            "context": list(items[0][0].context),
-            "weights": {",".join(ev.outcomes): rational_to_str(w) for ev, w in items},
-        }
     if is_dataclass(obj):
         return {f.name: jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, Mapping):

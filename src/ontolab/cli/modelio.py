@@ -9,10 +9,11 @@ non-empty strings without commas.
 
 Parse failures are graded: malformed JSON, or bytes that are not UTF-8,
 raise ModelSyntaxError with line and column; structural mismatches raise
-SchemaError naming the offending path, as does a document nested too
-deeply to parse; and well-formed payloads whose numbers break a model
-invariant raise InvariantViolation carrying the underlying detail (for a
-bad distribution, the exact deficit).
+SchemaError naming the offending path, as do a document nested too deeply
+to parse and a number with more digits than the interpreter reads; and
+well-formed payloads whose numbers break a model invariant raise
+InvariantViolation carrying the underlying detail (for a bad
+distribution, the exact deficit).
 """
 
 from __future__ import annotations
@@ -125,7 +126,10 @@ def rational_to_str(x: Fraction) -> str:
 def parse_rational(text: Any, path: str = "value") -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise SchemaError(path, f"expected a rational like \"3/4\", got {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError as e:  # beyond the interpreter's int-string digit limit
+        raise SchemaError(path, f"too many digits to read in {text[:20]}...") from e
 
 
 def _expect(obj: Any, typ: type, path: str):
@@ -392,7 +396,7 @@ def canonical_to_obj(c: CanonicalLocalModel) -> dict:
         "scenario": scenario_to_obj(c.scenario),
         "weights": {
             p: {
-                ",".join(omega.restrict(c.scenario.measurements).outcomes): rational_to_str(w)
+                ",".join(omega.outcomes): rational_to_str(w)
                 for omega, w in c.weights[p].items()
             }
             for p in c.weights
@@ -451,6 +455,8 @@ def parse_model_file(text: Union[str, bytes]) -> ModelFile:
         line = text.count(b"\n", 0, e.start) + 1
         col = e.start - text.rfind(b"\n", 0, e.start)
         raise ModelSyntaxError(line, col, f"not UTF-8 text ({e.reason})") from e
+    except ValueError as e:  # an int literal beyond the interpreter's digit limit
+        raise SchemaError("document", "a number has too many digits to read") from e
     except RecursionError as e:
         raise SchemaError("document", "nested too deeply to parse") from e
     _expect(doc, dict, "document")

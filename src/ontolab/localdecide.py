@@ -15,12 +15,14 @@ inequality the model violates.
 Both outputs are self-verifying: `verify_witness` and
 `verify_signed_weights` push every weight onto its restriction to each
 context and compare the sums with the tables, and `verify_certificate`
-re-evaluates the inequality by enumerating every global assignment, with
-no reference to the simplex code path. No verifier lists the events of a
-context. The solver side has one equality builder (`_equality_system`,
-shared by `decide_local` and `quasi_local_decomposition`, and the only
-caller of `MeasurementScenario.events`; its 0/1 int rows also give the
-certificate's local bound) and one integer Gauss-Jordan step (`_pivot`,
+re-evaluates the inequality by enumerating every outcome tuple of the
+measurements, with int coefficients keyed by outcome tuple, building no
+`JointOutcome` and with no reference to the simplex code path. No
+verifier lists the events of a context. The solver side has one equality
+builder (`_equality_system`, the only caller of
+`MeasurementScenario.events`; its 0/1 int rows also give the certificate's
+local bound), run once per `decide_local` and once per
+`quasi_local_decomposition`, and one integer Gauss-Jordan step (`_pivot`,
 shared by the simplex and the unrestricted solve); the verifiers call
 neither. A broken solver invariant raises `InternalError`, never an input
 error.
@@ -395,27 +397,33 @@ def verify_witness(e: EmpiricalModel, witness: LocalWitness) -> bool:
 
 
 def verify_certificate(e: EmpiricalModel, cert: NonlocalityCertificate) -> bool:
-    """Re-evaluate the inequality from scratch by full enumeration."""
+    """Re-evaluate the inequality from scratch by full enumeration.
+
+    Every coefficient must name a context of the model's cover. The
+    coefficients are scaled to ints over their common denominator and
+    grouped by context, keyed by outcome tuple; an assignment's value is
+    the sum, over those contexts, of the int keyed by its outcomes at the
+    context's positions in the measurement order. At most one coefficient
+    per context matches an assignment: its restriction.
+    """
     coeffs = cert.coefficients
+    denom = lcm(*(c.denominator for c in coeffs.values()))
     model_value = Fraction(0)
+    by_context: dict = {}
     for ev, c in coeffs.items():
-        try:
-            table = e.table(ev.context)
-        except KeyError:
+        if ev.context not in e.tables:
             return False
-        if any(m not in e.scenario.measurements for m in ev.context):
-            return False
-        model_value += c * table.weight(ev)
-    # At most one coefficient per context matches an assignment: its restriction.
-    contexts = {ev.context for ev in coeffs}
+        model_value += c * e.tables[ev.context].weight(ev)
+        by_context.setdefault(ev.context, {})[ev.outcomes] = c.numerator * (denom // c.denominator)
     ms = e.scenario.measurements
+    position = {m: i for i, m in enumerate(ms)}
+    groups = [([position[m] for m in ctx], ints) for ctx, ints in by_context.items()]
     pools = [e.scenario.outcomes[m] for m in ms]
-    local_bound = None
-    for combo in itertools.product(*pools):
-        omega = JointOutcome.of(ms, combo)
-        v = sum((coeffs.get(omega.restrict(ctx), 0) for ctx in contexts), Fraction(0))
-        if local_bound is None or v > local_bound:
-            local_bound = v
+    best = max(
+        sum(ints.get(tuple(map(combo.__getitem__, at)), 0) for at, ints in groups)
+        for combo in itertools.product(*pools)
+    )
+    local_bound = Fraction(best, denom)
     return (
         model_value == cert.model_value
         and local_bound == cert.local_bound
@@ -458,21 +466,19 @@ def quasi_local_decomposition(
 ) -> SignedWeights:
     """Signed global weights reproducing every table of a no-signalling model.
 
-    Local models reuse their realizing distribution unchanged; non-local
-    no-signalling models get a solution of the same linear system with the
-    sign constraint dropped, so at least one weight is negative. Signalling
-    models are refused with the witness.
+    The equality system of `decide_local` is built once. A feasible system
+    gives the realizing distribution unchanged; an infeasible one (a
+    non-local model) gets a solution with the sign constraint dropped, so
+    at least one weight is negative. Signalling models are refused with
+    the witness.
     """
     ns = check_no_signalling(e)
     if not ns:
         raise Signalling(ns.witness)
-    decision = decide_local(e, cap)
-    if isinstance(decision, LocalWitness):
-        return SignedWeights(dict(decision.dist.weights))
-
     assignments = global_assignments(e.scenario, cap)
     rows, rhs, _ = _equality_system(e, assignments)
-    solution = _solve_linear(rows, rhs)
+    result = lp_feasibility(rows, rhs)
+    solution = result.x if isinstance(result, Feasible) else _solve_linear(rows, rhs)
     if solution is None:
         raise InternalError("no signed decomposition for a no-signalling model")
     return SignedWeights({omega: w for omega, w in zip(assignments, solution) if w != 0})

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ontolab import Dist, EmpiricalModel, Property
+from ontolab import Dist, EmpiricalModel, PreparationModel, PreparationScenario, Property
 from ontolab.probcore import InternalError, JointOutcome
 from ontolab.cli.main import main
 from ontolab.cli.modelio import model_file_for, parse_model_file, serialize_model_file
@@ -201,6 +201,27 @@ class TestInputErrors:
         assert code == 2
         assert "nested too deeply" in err
 
+    def test_rational_with_too_many_digits(self, cli, tmp_path):
+        """Beyond the interpreter's 4300-digit int-string limit."""
+        doc = json.loads(serialize_model_file(model_file_for(pr_box())))
+        table = doc["payload"]["tables"]["a0,b0"]
+        table["0,0"] = "1" + "0" * 4400 + "/2" + "0" * 4400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = cli("validate", str(path))
+        assert code == 2
+        assert "a0,b0/0,0" in err and "too many digits" in err
+
+    def test_integer_literal_with_too_many_digits(self, cli, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"format_version": 1, "kind": "quantum-demo-config",'
+            ' "payload": {"demo": "chsh", "max_denominator": 1' + "0" * 4400 + "}}"
+        )
+        code, _, err = cli("validate", str(path))
+        assert code == 2
+        assert "too many digits" in err
+
     def test_not_utf8(self, cli, tmp_path, monkeypatch):
         path = tmp_path / "prbox.json"
         path.write_bytes(b"\xff\xfe{\x00}\x00")
@@ -276,6 +297,15 @@ class TestJsonMode:
         cert = decision["artifact"]
         assert set(cert) == {"coefficients", "model_value", "local_bound"}
         assert cert["coefficients"]
+
+    def test_preparation_signalling_witness_is_serialized(self, cli, tmp_path):
+        scenario = PreparationScenario(("A", "B"), {"A": ("p",), "B": ("p", "q")}, {"A": ("x", "y"), "B": ("u",)})
+        tables = {("p", "p"): Dist.delta(("x", "u")), ("p", "q"): Dist.delta(("y", "u"))}
+        path = write_model(tmp_path, PreparationModel(scenario, tables))
+        code, out, _ = cli("prep-check", path, "--json")
+        assert code == 4
+        verdict = next(v for v in json.loads(out)["verdicts"] if v["check"] == "no-preparation-signalling")
+        assert verdict["artifact"]["marginal_a"] == {"x": "1"}
 
     def test_brief_truncates_details(self, cli):
         _, full, _ = cli("onto-report", "zoo:psi-complete-chsh")

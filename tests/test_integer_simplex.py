@@ -31,8 +31,10 @@ from ontolab import (
     lp_feasibility,
     quasi_local_decomposition,
     verify_certificate,
+    verify_signed_weights,
     verify_witness,
 )
+from ontolab import localdecide
 from ontolab.cli.main import main
 from ontolab.cli.modelio import model_file_for, serialize_model_file
 from ontolab.localdecide import _solve_linear
@@ -177,6 +179,57 @@ def test_signed_weights_equal_reference_solve():
         solution = ref_solve_linear(rows, rhs)
         expected = SignedWeights({w: v for w, v in zip(assignments, solution) if v != 0})
         assert quasi_local_decomposition(e) == expected
+
+
+def test_replays_call_no_solver_helper(monkeypatch):
+    """The verifiers replay without the solver, and `verify_certificate`
+    builds no `JointOutcome` either."""
+    local = local_model(random.Random(5), two_party_scenario(2, 2), 4)
+    witness = decide_local(local)
+    assert isinstance(witness, LocalWitness)
+    pr = embedded_pr_box(3, 3, settings=(2, 0, 1, 2))
+    cert = decide_local(pr)
+    assert isinstance(cert, NonlocalityCertificate)
+    sw = quasi_local_decomposition(pr)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called during a replay")
+
+    for name in ("_equality_system", "_integer_rows", "_pivot", "lp_feasibility", "_solve_linear", "global_assignments"):
+        monkeypatch.setattr(localdecide, name, forbidden)
+    assert verify_witness(local, witness)
+    assert verify_signed_weights(pr, sw)
+    assert verify_certificate(pr, cert)
+    monkeypatch.setattr(JointOutcome, "__post_init__", forbidden)
+    assert verify_certificate(pr, cert)
+
+
+def test_signed_decomposition_builds_its_system_once(monkeypatch):
+    """Local models keep the reference simplex's realizing distribution;
+    `_solve_linear` alone differs on most of them."""
+    expected = []
+    for e in ladder_models(3):
+        decision = ref_decide_local(e)
+        if isinstance(decision, LocalWitness):
+            expected.append((e, SignedWeights(dict(decision.dist.weights))))
+    pr = embedded_pr_box(3, 3, settings=(2, 0, 1, 2))
+    expected.append((pr, quasi_local_decomposition(pr)))
+    build = localdecide._equality_system
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("decide_local called")
+
+    monkeypatch.setattr(localdecide, "_equality_system", counted)
+    monkeypatch.setattr(localdecide, "decide_local", forbidden)
+    for e, sw in expected:
+        calls.clear()
+        assert quasi_local_decomposition(e) == sw
+        assert len(calls) == 1
 
 
 # ------------------------------------------------------------- known facts

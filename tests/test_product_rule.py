@@ -270,9 +270,17 @@ def test_certificate_and_signed_replays_match_the_reference(e, data):
     ctx = data.draw(st.sampled_from(e.scenario.cover))
     unknown = dict(cert.coefficients)
     unknown[JointOutcome.of(ctx, ("2", "2"))] = data.draw(st.sampled_from((Fraction(5), Fraction(-5))))
-    for coeffs in (cert.coefficients, tampered, unknown):
+    # A sub-context outside the cover, and a context naming an unknown
+    # measurement: both refused.
+    outside = [
+        {**cert.coefficients, JointOutcome.of(sub, ("0",) * len(sub)): Fraction(1)}
+        for sub in (("a0",), ("a0", "zz"))
+    ]
+    for coeffs in (cert.coefficients, tampered, unknown, *outside):
         variant = NonlocalityCertificate(coeffs, cert.model_value, cert.local_bound)
         assert verify_certificate(e, variant) == ref_verify_certificate(e, variant)
+    for coeffs in outside:
+        assert not ref_verify_certificate(e, NonlocalityCertificate(coeffs, cert.model_value, cert.local_bound))
     assert verify_certificate(e, cert)
 
 
