@@ -10,8 +10,8 @@ the solver or a numerical routine breaks its own contract
 
 `timed` is the one clock and `Report.check` the one place where a `Check`
 result becomes a verdict. The quantum demos render their own float
-objects and import `ontolab.quantum`, and with it numpy, only when they
-run; every other subcommand starts without numpy.
+objects and import `ontolab.quantum` only when they run, so the exact
+subcommands do not pay for importing the float layer.
 """
 
 from __future__ import annotations

@@ -1,12 +1,19 @@
 """Minimal quantum layer: states, POVMs, Born probabilities, and bridges
 into exact ontological models.
 
-Floating point lives only in this module. The bridge to the exact side is
-`rationalize`, which snaps a float distribution to nearby rationals with a
-bounded denominator. `psi_complete_model` goes further: its joint response
-tables are completed against shared rationalized single-measurement
-marginals, so the resulting model is parameter independent under exact
-comparison, not merely up to rounding.
+Floating point lives only in this module, in plain Python: a vector is a
+tuple of `complex` and a matrix a tuple of such rows. Constructors accept
+any nested sequence of numbers and refuse ragged or non-square shapes
+(`DimensionMismatch`) and non-finite entries (`InvariantViolation`). One
+cyclic Jacobi eigensolver serves the positivity checks of density matrices
+and POVM effects and the spectral decomposition of observables.
+
+The bridge to the exact side is `rationalize`, which snaps a float
+distribution to nearby rationals with a bounded denominator.
+`psi_complete_model` goes further: its joint response tables are
+completed against shared rationalized single-measurement marginals, so
+the resulting model is parameter independent under exact comparison, not
+merely up to rounding.
 
 Tolerances are fixed module constants: `NORMALIZATION_TOL` (1e-12) for
 norms, traces, hermiticity, and the steering demo's fidelities and
@@ -20,13 +27,14 @@ eigenvalues; `SUPPORT_TOL` (1e-10) for which eigenspace overlaps count;
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, Optional, Sequence, Union
-
-import numpy as np
+from numbers import Number
+from typing import Any, Mapping, Sequence, Union
 
 from .probcore import (
     Dist,
@@ -59,68 +67,164 @@ SUPPORT_TOL = 1e-10
 MARGINAL_TOL = 1e-9
 CHSH_TOL = 1e-4
 
-
-def _as_array(values, shape_kind: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128)
-    if shape_kind == "vector" and arr.ndim != 1:
-        raise DimensionMismatch(f"expected a vector, got shape {arr.shape}")
-    if shape_kind == "matrix" and (arr.ndim != 2 or arr.shape[0] != arr.shape[1]):
-        raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
-    arr.setflags(write=False)
-    return arr
+_JACOBI_SWEEPS = 50
 
 
-def _hermitian(arr: np.ndarray) -> bool:
-    return float(np.max(np.abs(arr - arr.conj().T))) <= NORMALIZATION_TOL
+def _vector(values) -> tuple:
+    try:
+        vec = tuple(values)
+    except TypeError:
+        raise DimensionMismatch(f"expected a vector, got {values!r}") from None
+    if not all(isinstance(x, Number) for x in vec):
+        raise DimensionMismatch("expected a vector of numbers")
+    vec = tuple(map(complex, vec))
+    if not all(map(cmath.isfinite, vec)):
+        raise InvariantViolation("entries must be finite")
+    return vec
+
+
+def _matrix(values) -> tuple:
+    try:
+        rows = tuple(map(_vector, values))
+    except (TypeError, DimensionMismatch):
+        rows = ()
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise DimensionMismatch("expected a square matrix")
+    return rows
+
+
+def _identity(n: int) -> tuple:
+    return tuple(tuple(complex(i == j) for j in range(n)) for i in range(n))
+
+
+def _outer(u, v) -> tuple:
+    """|u><v|."""
+    return tuple(tuple(a * b.conjugate() for b in v) for a in u)
+
+
+def _kron(a, b) -> tuple:
+    """Kronecker product of two vectors, or of two matrices."""
+    if isinstance(a[0], tuple):
+        return tuple(_kron(ra, rb) for ra in a for rb in b)
+    return tuple(x * y for x in a for y in b)
+
+
+def _inner(u, v) -> complex:
+    """<u|v>, conjugate-linear in u."""
+    return sum(a.conjugate() * b for a, b in zip(u, v))
+
+
+def _sum(matrices) -> tuple:
+    return tuple(tuple(sum(cells) for cells in zip(*rows)) for rows in zip(*matrices))
+
+
+def _scaled(c, m) -> tuple:
+    return tuple(tuple(c * x for x in row) for row in m)
+
+
+def _max_diff(a, b) -> float:
+    """Largest absolute entry difference of two matrices of one size."""
+    return max(abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def _hermitian(m: tuple) -> bool:
+    adjoint = tuple(tuple(x.conjugate() for x in col) for col in zip(*m))
+    return _max_diff(m, adjoint) <= NORMALIZATION_TOL
+
+
+def _eigh(m: tuple) -> list:
+    """Eigenpairs (value, unit eigenvector) of a Hermitian matrix, values
+    ascending; only the upper triangle is read.
+
+    Cyclic Jacobi (Golub & Van Loan, Matrix Computations, 8.5). Each
+    rotation turns a_pq real by a phase and zeroes it with the real
+    symmetric rotation, updating the diagonal in the t-form
+    a_pp - t|a_pq|, a_qq + t|a_pq|, so exact inputs such as the Pauli
+    matrices keep exact eigenvalues. Sweeps stop once the off-diagonal
+    norm is below machine epsilon times the matrix norm, or below the
+    smallest normal float; not getting there within `_JACOBI_SWEEPS`
+    sweeps is an `InternalError`.
+    """
+    n = len(m)
+    a = [[m[i][j] if i <= j else m[j][i].conjugate() for j in range(n)] for i in range(n)]
+    v = [list(row) for row in _identity(n)]
+    tol = max(sys.float_info.epsilon * math.hypot(*(abs(x) for row in a for x in row)), sys.float_info.min)
+    for _ in range(_JACOBI_SWEEPS):
+        if math.hypot(*(abs(a[p][q]) for p in range(n) for q in range(p + 1, n))) <= tol:
+            pairs = [(a[j][j].real, tuple(row[j] for row in v)) for j in range(n)]
+            return sorted(pairs, key=lambda pair: pair[0])
+        for p, q in itertools.combinations(range(n), 2):
+            r = abs(a[p][q])
+            if r == 0:
+                continue
+            phase = a[p][q].conjugate() / r
+            phase /= abs(phase)  # a subnormal a_pq rounds r, leaving |phase| up to sqrt(2)
+            theta = (a[q][q].real - a[p][p].real) / (2 * r)
+            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+            c = 1 / math.hypot(t, 1.0)
+            s = t * c
+            a[p][p] = complex(a[p][p].real - t * r)
+            a[q][q] = complex(a[q][q].real + t * r)
+            a[p][q] = a[q][p] = 0j
+            for k in range(n):
+                if k != p and k != q:
+                    akp, akq = a[k][p], a[k][q]
+                    a[k][p] = c * akp - s * phase * akq
+                    a[k][q] = s * akp + c * phase * akq
+                    a[p][k], a[q][k] = a[k][p].conjugate(), a[k][q].conjugate()
+                vkp, vkq = v[k][p], v[k][q]
+                v[k][p] = c * vkp - s * phase * vkq
+                v[k][q] = s * vkp + c * phase * vkq
+    raise InternalError(f"Jacobi eigensolver did not converge in {_JACOBI_SWEEPS} sweeps")
 
 
 @dataclass(frozen=True, eq=False)
 class Ket:
     """Unit vector; the norm must be 1 within the normalization tolerance."""
 
-    amplitudes: np.ndarray
+    amplitudes: tuple
 
     def __post_init__(self):
-        arr = _as_array(self.amplitudes, "vector")
-        norm = float(np.linalg.norm(arr))
+        vec = _vector(self.amplitudes)
+        norm = math.sqrt(_inner(vec, vec).real)
         if abs(norm - 1.0) > NORMALIZATION_TOL:
             raise InvariantViolation(f"ket norm {norm} is not 1")
-        object.__setattr__(self, "amplitudes", arr)
+        object.__setattr__(self, "amplitudes", vec)
 
     @property
     def dimension(self) -> int:
-        return self.amplitudes.shape[0]
+        return len(self.amplitudes)
 
     @staticmethod
     def of(values: Sequence) -> "Ket":
-        return Ket(np.array(values, dtype=np.complex128))
+        return Ket(values)
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive semi-definite within tolerances."""
 
-    matrix: np.ndarray
+    matrix: tuple
 
     def __post_init__(self):
-        arr = _as_array(self.matrix, "matrix")
-        if not _hermitian(arr):
+        m = _matrix(self.matrix)
+        if not _hermitian(m):
             raise InvariantViolation("density matrix is not hermitian")
-        if abs(float(np.real(np.trace(arr))) - 1.0) > NORMALIZATION_TOL:
-            raise InvariantViolation(f"trace {np.trace(arr)} is not 1")
-        eigs = np.linalg.eigvalsh(arr)
-        if float(eigs.min()) < -STRUCTURE_TOL:
-            raise InvariantViolation(f"negative eigenvalue {eigs.min()}")
-        object.__setattr__(self, "matrix", arr)
+        trace = sum(row[i] for i, row in enumerate(m))
+        if abs(trace.real - 1.0) > NORMALIZATION_TOL:
+            raise InvariantViolation(f"trace {trace} is not 1")
+        lowest = _eigh(m)[0][0]
+        if lowest < -STRUCTURE_TOL:
+            raise InvariantViolation(f"negative eigenvalue {lowest}")
+        object.__setattr__(self, "matrix", m)
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.matrix)
 
     @staticmethod
     def from_ket(k: Ket) -> "DensityMatrix":
-        v = k.amplitudes
-        return DensityMatrix(np.outer(v, v.conj()))
+        return DensityMatrix(_outer(k.amplitudes, k.amplitudes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,33 +234,27 @@ class Povm:
     effects: tuple
 
     def __post_init__(self):
-        effects = []
-        labels = []
-        for label, matrix in self.effects:
-            arr = _as_array(matrix, "matrix")
-            labels.append(label)
-            effects.append((label, arr))
+        effects = tuple((label, _matrix(m)) for label, m in self.effects)
+        labels = [label for label, _ in effects]
         if not effects:
             raise InvariantViolation("POVM with no effects")
         if len(set(labels)) != len(labels):
             raise InvariantViolation("duplicate effect labels")
-        dims = {arr.shape[0] for _, arr in effects}
-        if len(dims) != 1:
+        if len({len(m) for _, m in effects}) != 1:
             raise DimensionMismatch("effects act on different dimensions")
-        total = np.zeros((effects[0][1].shape[0],) * 2, dtype=np.complex128)
-        for _, arr in effects:
-            if not _hermitian(arr):
+        for _, m in effects:
+            if not _hermitian(m):
                 raise InvariantViolation("effect is not hermitian")
-            if float(np.linalg.eigvalsh(arr).min()) < -STRUCTURE_TOL:
+            if _eigh(m)[0][0] < -STRUCTURE_TOL:
                 raise InvariantViolation("effect has a negative eigenvalue")
-            total = total + arr
-        if float(np.max(np.abs(total - np.eye(total.shape[0])))) > STRUCTURE_TOL:
+        total = _sum(m for _, m in effects)
+        if _max_diff(total, _identity(len(total))) > STRUCTURE_TOL:
             raise InvariantViolation("effects do not sum to the identity")
-        object.__setattr__(self, "effects", tuple(effects))
+        object.__setattr__(self, "effects", effects)
 
     @property
     def dimension(self) -> int:
-        return self.effects[0][1].shape[0]
+        return len(self.effects[0][1])
 
     @property
     def labels(self) -> tuple:
@@ -168,40 +266,38 @@ class Observable:
     """Hermitian matrix with its spectral decomposition.
 
     Eigenvalues closer than the grouping threshold share one projector;
-    each spectrum entry is (eigenvalue, projector).
+    each spectrum entry is (eigenvalue, projector), ascending.
     """
 
-    matrix: np.ndarray
+    matrix: tuple
     spectrum: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        arr = _as_array(self.matrix, "matrix")
-        if not _hermitian(arr):
+        m = _matrix(self.matrix)
+        if not _hermitian(m):
             raise InvariantViolation("observable is not hermitian")
-        vals, vecs = np.linalg.eigh(arr)
-        groups: list[list[int]] = []
-        for i, v in enumerate(vals):
-            if groups and v - vals[groups[-1][-1]] <= EIGENVALUE_GAP:
-                groups[-1].append(i)
+        groups: list[list] = []
+        for value, vec in _eigh(m):
+            if groups and value - groups[-1][-1][0] <= EIGENVALUE_GAP:
+                groups[-1].append((value, vec))
             else:
-                groups.append([i])
-        spectrum = []
-        recon = np.zeros_like(arr)
-        for idx in groups:
-            ev = float(np.mean(vals[idx]))
-            basis = vecs[:, idx]
-            proj = basis @ basis.conj().T
-            proj.setflags(write=False)
-            spectrum.append((ev, proj))
-            recon = recon + ev * proj
-        if float(np.max(np.abs(recon - arr))) > STRUCTURE_TOL:
+                groups.append([(value, vec)])
+        spectrum = tuple(
+            (
+                sum(value for value, _ in group) / len(group),
+                _sum(_outer(vec, vec) for _, vec in group),
+            )
+            for group in groups
+        )
+        recon = _sum(_scaled(ev, proj) for ev, proj in spectrum)
+        if _max_diff(recon, m) > STRUCTURE_TOL:
             raise InvariantViolation("spectral reconstruction drifted beyond tolerance")
-        object.__setattr__(self, "matrix", arr)
-        object.__setattr__(self, "spectrum", tuple(spectrum))
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.matrix)
 
 
 def qubit0() -> Ket:
@@ -230,11 +326,7 @@ def bell_phi_plus() -> Ket:
 
 def projective_povm(named_kets: Sequence[tuple]) -> Povm:
     """POVM of rank-one projectors onto an orthonormal family."""
-    effects = []
-    for label, k in named_kets:
-        v = k.amplitudes
-        effects.append((label, np.outer(v, v.conj())))
-    return Povm(tuple(effects))
+    return Povm(tuple((label, _outer(k.amplitudes, k.amplitudes)) for label, k in named_kets))
 
 
 def z_basis_povm() -> Povm:
@@ -256,11 +348,11 @@ def qubit_direction_povm(theta: float) -> Povm:
 
 
 def pauli_z() -> Observable:
-    return Observable(np.diag([1.0, -1.0]))
+    return Observable(((1.0, 0.0), (0.0, -1.0)))
 
 
 def pauli_x() -> Observable:
-    return Observable(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    return Observable(((0.0, 1.0), (1.0, 0.0)))
 
 
 def born(rho: DensityMatrix, povm: Povm) -> dict:
@@ -270,9 +362,10 @@ def born(rho: DensityMatrix, povm: Povm) -> dict:
         raise DimensionMismatch(
             f"state dimension {rho.dimension} vs effect dimension {povm.dimension}"
         )
+    n = rho.dimension
     raw = {}
     for label, effect in povm.effects:
-        p = float(np.real(np.trace(rho.matrix @ effect)))
+        p = sum(rho.matrix[i][k] * effect[k][i] for i in range(n) for k in range(n)).real
         if p < 0:
             if p < -STRUCTURE_TOL:
                 raise InvariantViolation(f"outcome {label!r} has probability {p}")
@@ -295,14 +388,14 @@ def tensor(a, b):
     flat: the joint label lists one outcome per factor.
     """
     if isinstance(a, Ket) and isinstance(b, Ket):
-        return Ket(np.kron(a.amplitudes, b.amplitudes))
+        return Ket(_kron(a.amplitudes, b.amplitudes))
     if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(np.kron(a.matrix, b.matrix))
+        return DensityMatrix(_kron(a.matrix, b.matrix))
     if isinstance(a, Povm) and isinstance(b, Povm):
         effects = []
         for la, ea in a.effects:
             for lb, eb in b.effects:
-                effects.append((_flat(la) + _flat(lb), np.kron(ea, eb)))
+                effects.append((_flat(la) + _flat(lb), _kron(ea, eb)))
         return Povm(tuple(effects))
     raise KindMismatch(
         f"cannot tensor {type(a).__name__} with {type(b).__name__}"
@@ -327,7 +420,7 @@ def rationalize(probs: Mapping[Any, float], max_denominator: int = 10**6) -> Dis
     cleaned = {}
     for label in labels:
         p = float(probs[label])
-        if p < -NORMALIZATION_TOL or p > 1 + NORMALIZATION_TOL:
+        if not -NORMALIZATION_TOL <= p <= 1 + NORMALIZATION_TOL:
             raise NotADistribution(f"entry {label!r} = {p} is outside [0, 1]")
         cleaned[label] = min(max(p, 0.0), 1.0)
     total = sum(cleaned.values())
@@ -486,6 +579,7 @@ def psi_complete_model(
     for name in _ordered(preps):
         rho = DensityMatrix.from_ket(preps[name])
         raw = {ctx: born(rho, contexts[ctx]) for ctx in scenario.cover}
+        float_marginals = {}
         exact_marginals = {}
         for m in scenario.measurements:
             ctx = scenario.contexts_with(m)[0]
@@ -493,6 +587,7 @@ def psi_complete_model(
             floats = {o: 0.0 for o in outcome_order[m]}
             for label, p in raw[ctx].items():
                 floats[label[i]] += p
+            float_marginals[m] = floats
             exact_marginals[m] = rationalize(floats, max_denominator)
         for ctx in scenario.cover:
             table = raw[ctx]
@@ -501,10 +596,7 @@ def psi_complete_model(
                 axis = {o: 0.0 for o in outcome_order[m]}
                 for label, p in table.items():
                     axis[label[i]] += p
-                drift = max(
-                    abs(axis[o] - float(exact_marginals[m].weight(o)))
-                    for o in outcome_order[m]
-                )
+                drift = max(abs(axis[o] - float_marginals[m][o]) for o in outcome_order[m])
                 if drift > MARGINAL_TOL:
                     consistent = False
                     break
@@ -565,7 +657,7 @@ def observable_epistemicity(
     v = psi.amplitudes
     overlaps = []
     for ev, proj in a.spectrum:
-        mass = float(np.real(v.conj() @ proj @ v))
+        mass = _inner(v, tuple(sum(x * y for x, y in zip(row, v)) for row in proj)).real
         if mass > SUPPORT_TOL:
             overlaps.append((ev, mass))
     if not overlaps:
@@ -593,12 +685,13 @@ def steering_demo(basis: str) -> list:
         local = [plus_state(), minus_state()]
     else:
         raise InvariantViolation(f"basis must be 'z' or 'x', got {basis!r}")
-    joint = bell_phi_plus().amplitudes.reshape(2, 2)
+    pair = bell_phi_plus().amplitudes
     ensemble = []
     for u in local:
-        remote = u.amplitudes.conj() @ joint
-        p = float(np.real(remote.conj() @ remote))
-        ensemble.append((p, Ket(remote / math.sqrt(p))))
+        # pair[j::2] is column j of the pair's amplitudes as a 2x2 matrix
+        remote = tuple(_inner(u.amplitudes, pair[j::2]) for j in range(2))
+        p = _inner(remote, remote).real
+        ensemble.append((p, Ket(tuple(x / math.sqrt(p) for x in remote))))
     return ensemble
 
 
@@ -607,17 +700,14 @@ def steering_fidelities(basis: str, ensemble: list) -> tuple:
     and whether every fidelity is within the normalization tolerance of 1."""
     targets = [qubit0(), qubit1()] if basis == "z" else [plus_state(), minus_state()]
     fidelities = [
-        float(abs(t.amplitudes.conj() @ k.amplitudes) ** 2)
+        abs(_inner(t.amplitudes, k.amplitudes)) ** 2
         for t, (_, k) in zip(targets, ensemble)
     ]
     return fidelities, all(f >= 1 - NORMALIZATION_TOL for f in fidelities)
 
 
-def _reduced(ensemble: list) -> np.ndarray:
-    rho = np.zeros((2, 2), dtype=complex)
-    for p, k in ensemble:
-        rho += p * np.outer(k.amplitudes, k.amplitudes.conj())
-    return rho
+def _reduced(ensemble: list) -> tuple:
+    return _sum(_scaled(p, _outer(k.amplitudes, k.amplitudes)) for p, k in ensemble)
 
 
 def steering_drift(basis: str, ensemble: list) -> tuple:
@@ -626,7 +716,7 @@ def steering_drift(basis: str, ensemble: list) -> tuple:
     difference is within the normalization tolerance (no signalling)."""
     rho = _reduced(ensemble)
     rho_other = _reduced(steering_demo("x" if basis == "z" else "z"))
-    drift = float(np.max(np.abs(rho - rho_other)))
+    drift = _max_diff(rho, rho_other)
     return rho, drift, drift <= NORMALIZATION_TOL
 
 

@@ -359,7 +359,16 @@ class TestZooCommand:
 NO_NUMPY_PROBE = """
 import contextlib, io, sys
 from ontolab.cli.main import main
-for argv in (["check-ns", "zoo:prbox"], ["decide-local", "zoo:prbox"], ["zoo", "list"]):
+for argv in (
+    ["check-ns", "zoo:prbox"],
+    ["decide-local", "zoo:prbox"],
+    ["zoo", "list"],
+    ["demo", "epr"],
+    ["demo", "steering"],
+    ["demo", "chsh"],
+    ["zoo", "export", "chsh-quantum"],
+    ["onto-report", "zoo:psi-complete-chsh"],
+):
     with contextlib.redirect_stdout(io.StringIO()):
         main(argv)
 print("numpy" in sys.modules)

@@ -4,11 +4,11 @@ bridges to exact models."""
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from ontolab import Dist, InvariantViolation, is_parameter_independent
-from ontolab.probcore import JointOutcome
+from ontolab import quantum
+from ontolab.probcore import InternalError, JointOutcome
 from ontolab.quantum import (
     DensityMatrix,
     DimensionMismatch,
@@ -40,6 +40,24 @@ from ontolab.quantum import (
 
 F = Fraction
 INV_SQRT2 = 1 / math.sqrt(2)
+EYE2 = [[1.0, 0.0], [0.0, 1.0]]
+
+
+def vdot(u, v):
+    return sum(a.conjugate() * b for a, b in zip(u, v, strict=True))
+
+
+def max_abs_diff(a, b):
+    return max(abs(x - y) for ra, rb in zip(a, b, strict=True) for x, y in zip(ra, rb, strict=True))
+
+
+def allclose(a, b):
+    """numpy.allclose on square matrices: |a - b| <= 1e-8 + 1e-5 |b| entrywise."""
+    return all(
+        abs(x - y) <= 1e-8 + 1e-5 * abs(y)
+        for ra, rb in zip(a, b, strict=True)
+        for x, y in zip(ra, rb, strict=True)
+    )
 
 
 class TestStates:
@@ -49,43 +67,75 @@ class TestStates:
 
     def test_ket_must_be_a_vector(self):
         with pytest.raises(DimensionMismatch):
-            Ket(np.eye(2))
+            Ket(EYE2)
 
     def test_density_matrix_rejects_non_hermitian(self):
         with pytest.raises(InvariantViolation):
-            DensityMatrix(np.array([[0.5, 1.0], [0.0, 0.5]]))
+            DensityMatrix([[0.5, 1.0], [0.0, 0.5]])
 
     def test_density_matrix_rejects_bad_trace(self):
         with pytest.raises(InvariantViolation):
-            DensityMatrix(np.eye(2))
+            DensityMatrix(EYE2)
 
     def test_density_matrix_rejects_negative_eigenvalue(self):
         with pytest.raises(InvariantViolation):
-            DensityMatrix(np.diag([1.5, -0.5]))
+            DensityMatrix([[1.5, 0.0], [0.0, -0.5]])
 
     def test_from_ket_is_a_projector(self):
         rho = DensityMatrix.from_ket(plus_state())
-        assert np.allclose(rho.matrix, 0.5 * np.ones((2, 2)))
+        assert allclose(rho.matrix, [[0.5, 0.5], [0.5, 0.5]])
+
+
+class TestInputRefusal:
+    @pytest.mark.parametrize(
+        "values", [[[1, 0], [0]], [[1, 0, 0], [0, 1, 0]], [1, 0], [], [["1", 0], [0, 1]]]
+    )
+    def test_not_a_square_matrix_of_numbers(self, values):
+        with pytest.raises(DimensionMismatch):
+            DensityMatrix(values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "off-diagonal"])
+    @pytest.mark.parametrize(
+        "build,error",
+        [
+            (lambda m: Ket(m[0]), InvariantViolation),
+            (DensityMatrix, InvariantViolation),
+            (lambda m: Povm((("a", m), ("b", [[0.5, 0.0], [0.0, 0.5]]))), InvariantViolation),
+            (Observable, InvariantViolation),
+            (lambda m: rationalize({"a": m[0][0], "b": m[0][1]}), NotADistribution),
+        ],
+        ids=["ket", "density", "povm", "observable", "rationalize"],
+    )
+    def test_non_finite_entries(self, build, error, bad, diagonal):
+        m = [[bad, 0.0], [0.0, 0.5]] if diagonal else [[0.5, bad], [bad, 0.5]]
+        with pytest.raises(error):
+            build(m)
+
+    def test_unconverged_eigensolver_is_internal(self, monkeypatch):
+        monkeypatch.setattr(quantum, "_JACOBI_SWEEPS", 0)
+        with pytest.raises(InternalError):
+            pauli_x()
 
 
 class TestPovm:
     def test_effects_must_sum_to_identity(self):
-        half = 0.5 * np.eye(2)
+        half = [[0.5, 0.0], [0.0, 0.5]]
         with pytest.raises(InvariantViolation):
             Povm((("a", half),))
 
     def test_effects_must_be_positive(self):
         with pytest.raises(InvariantViolation):
-            Povm((("a", np.diag([2.0, -1.0])), ("b", np.diag([-1.0, 2.0]))))
+            Povm((("a", [[2.0, 0.0], [0.0, -1.0]]), ("b", [[-1.0, 0.0], [0.0, 2.0]])))
 
     def test_duplicate_labels_rejected(self):
-        half = 0.5 * np.eye(2)
+        half = [[0.5, 0.0], [0.0, 0.5]]
         with pytest.raises(InvariantViolation):
             Povm((("a", half), ("a", half)))
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionMismatch):
-            Povm((("a", np.eye(2) * 0.5), ("b", np.eye(3) * 0.5)))
+            Povm((("a", [[0.5, 0.0], [0.0, 0.5]]), ("b", [[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0.5]])))
 
     def test_projective_labels(self):
         p = z_basis_povm()
@@ -96,20 +146,20 @@ class TestPovm:
 class TestObservable:
     def test_rejects_non_hermitian(self):
         with pytest.raises(InvariantViolation):
-            Observable(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            Observable([[0.0, 1.0], [0.0, 0.0]])
 
     def test_pauli_z_spectrum_is_ascending(self):
         spec = pauli_z().spectrum
         evs = [ev for ev, _ in spec]
         assert evs == pytest.approx([-1.0, 1.0])
         # -1 eigenspace is |1>, +1 eigenspace is |0>
-        assert spec[0][1][1, 1] == pytest.approx(1.0)
-        assert spec[1][1][0, 0] == pytest.approx(1.0)
+        assert spec[0][1][1][1] == pytest.approx(1.0)
+        assert spec[1][1][0][0] == pytest.approx(1.0)
 
     def test_degenerate_eigenvalues_share_a_projector(self):
-        spec = Observable(np.eye(2)).spectrum
+        spec = Observable(EYE2).spectrum
         assert len(spec) == 1
-        assert np.allclose(spec[0][1], np.eye(2))
+        assert allclose(spec[0][1], EYE2)
 
 
 class TestBorn:
@@ -278,7 +328,7 @@ class TestObservableEpistemicity:
         assert res.masses == (F(2, 3), F(1, 3))
 
     def test_identity_observable_is_always_ontic(self):
-        res = observable_epistemicity(minus_state(), Observable(np.eye(2)))
+        res = observable_epistemicity(minus_state(), Observable(EYE2))
         assert isinstance(res, OnticValue)
         assert res.eigenvalue == pytest.approx(1.0)
 
@@ -297,18 +347,19 @@ class TestSteering:
         assert len(ensemble) == 2
         for (p, state), target in zip(ensemble, targets):
             assert p == pytest.approx(0.5, abs=1e-12)
-            fidelity = abs(np.vdot(target.amplitudes, state.amplitudes)) ** 2
+            fidelity = abs(vdot(target.amplitudes, state.amplitudes)) ** 2
             assert fidelity >= 1 - 1e-12
 
     def test_reduced_state_is_basis_independent(self):
         reduced = {}
         for basis in ("z", "x"):
-            rho = np.zeros((2, 2), dtype=complex)
-            for p, state in steering_demo(basis):
-                rho += p * np.outer(state.amplitudes, state.amplitudes.conj())
-            reduced[basis] = rho
-        assert np.max(np.abs(reduced["z"] - reduced["x"])) <= 1e-12
-        assert np.max(np.abs(reduced["z"] - 0.5 * np.eye(2))) <= 1e-12
+            ensemble = steering_demo(basis)
+            reduced[basis] = [
+                [sum(p * k.amplitudes[i] * k.amplitudes[j].conjugate() for p, k in ensemble) for j in range(2)]
+                for i in range(2)
+            ]
+        assert max_abs_diff(reduced["z"], reduced["x"]) <= 1e-12
+        assert max_abs_diff(reduced["z"], [[0.5, 0.0], [0.0, 0.5]]) <= 1e-12
 
     def test_unknown_basis(self):
         with pytest.raises(InvariantViolation):
