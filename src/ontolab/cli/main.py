@@ -8,10 +8,18 @@ everything passes (or the model is local), 3 for a non-local decision,
 the solver or a numerical routine breaks its own contract
 (`InternalError`), which no input should cause.
 
+`main` owns each subcommand's pipeline. A subparser declares the model
+kind it takes; `main` loads the model, refuses any other kind (exit 2),
+creates the Report, calls the command as `cmd(report, subject, args)`,
+and emits the report. A command only adds verdicts. Two exceptions:
+`validate` loads the model itself, because the timed load is the check it
+reports, and `zoo` prints its own output and returns its exit code;
+`main` emits only when the command returns None.
+
 `timed` is the one clock and `Report.check` the one place where a `Check`
-result becomes a verdict. The quantum demos render their own float
-objects and import `ontolab.quantum` only when they run, so the exact
-subcommands do not pay for importing the float layer.
+result becomes a verdict. `demo` imports `ontolab.quantum` only when it
+runs, so the exact subcommands do not pay for importing the float layer;
+the demos render their own float objects.
 """
 
 from __future__ import annotations
@@ -69,6 +77,7 @@ from .modelio import (
     ENCODERS,
     ModelFile,
     parse_model_file,
+    parse_rational,
     rational_to_str,
     serialize_model_file,
 )
@@ -301,23 +310,10 @@ def _load(spec_arg: str) -> ModelFile:
     return parse_model_file(data)
 
 
-def _payload(mf: ModelFile, kind: str):
-    if mf.kind != kind:
-        raise OntolabError(f"expected a model of kind {kind!r}, got {mf.kind!r}")
-    return mf.payload
-
-
-def _parse_fraction(text: str, what: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as e:
-        raise OntolabError(f"cannot parse {what} {text!r}: {e}") from e
-
-
 # -------------------------------------------------------------- commands
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(report: Report, _, args) -> None:
     mf, ms = timed(_load, args.model)
     payload = mf.payload
     if isinstance(payload, EmpiricalModel):
@@ -338,16 +334,11 @@ def cmd_validate(args) -> int:
         stats = f"{len(payload.ontic_space)} ontic states, {len(payload.values)} values"
     else:
         stats = f"demo {payload.demo}"
-    report = Report()
     report.add("model", "valid", True, ms, detail=f"kind {mf.kind}: {stats}")
-    return emit(report, args)
 
 
-def cmd_check_ns(args) -> int:
-    e = _payload(_load(args.model), "empirical")
-    report = Report()
+def cmd_check_ns(report: Report, e: EmpiricalModel, args) -> None:
     report.check("no-signalling", check_no_signalling, e)
-    return emit(report, args)
 
 
 def _decision(report: Report, e: EmpiricalModel, cap: int):
@@ -367,9 +358,7 @@ def _decision(report: Report, e: EmpiricalModel, cap: int):
     return result, local
 
 
-def cmd_decide_local(args) -> int:
-    e = _payload(_load(args.model), "empirical")
-    report = Report()
+def cmd_decide_local(report: Report, e: EmpiricalModel, args) -> None:
     report.check("no-signalling", check_no_signalling, e)
     result, local = _decision(report, e, args.cap)
     verified, ms = timed(verify_witness if local else verify_certificate, e, result)
@@ -380,13 +369,9 @@ def cmd_decide_local(args) -> int:
         ms,
         detail="replayed by direct enumeration, independent of the solver",
     )
-    return emit(report, args)
 
 
-def cmd_classify_property(args) -> int:
-    p = _payload(_load(args.model), "property")
-    report = Report()
-
+def cmd_classify_property(report: Report, p: Property, args) -> None:
     c, ms = timed(classify, p)
     ontic = isinstance(c, Ontic)
     report.add(
@@ -411,12 +396,9 @@ def cmd_classify_property(args) -> int:
         ms,
         detail=overlap_text,
     )
-    return emit(report, args)
 
 
-def cmd_onto_report(args) -> int:
-    h = _payload(_load(args.model), "ontological")
-    report = Report()
+def cmd_onto_report(report: Report, h: OntologicalModel, args) -> None:
     for name, checker in (
         ("deterministic", is_deterministic),
         ("parameter-independence", is_parameter_independent),
@@ -438,14 +420,11 @@ def cmd_onto_report(args) -> int:
         detail="\n".join(f"{m}: {s}" for m, s in status.items()),
         artifact=status,
     )
-    return emit(report, args)
 
 
-def cmd_canonicalize(args) -> int:
-    h = _payload(_load(args.model), "ontological")
-    report = Report()
+def cmd_canonicalize(report: Report, h: OntologicalModel, args) -> None:
     if not report.check("local", is_local, h):
-        return emit(report, args)
+        return
 
     c, ms = timed(canonicalize, h)
     report.add("canonical-form", "emitted", True, ms, detail=describe(c), artifact=c)
@@ -467,10 +446,9 @@ def cmd_canonicalize(args) -> int:
         if ok
         else "operational probabilities changed",
     )
-    return emit(report, args)
 
 
-def _preparation_checks(report: Report, m: PreparationModel) -> None:
+def cmd_prep_check(report: Report, m: PreparationModel, args) -> None:
     for name, checker in (
         ("no-preparation-signalling", is_no_preparation_signalling),
         ("preparation-independence", is_preparation_independent),
@@ -478,19 +456,11 @@ def _preparation_checks(report: Report, m: PreparationModel) -> None:
         report.check(name, checker, m)
 
 
-def cmd_prep_check(args) -> int:
-    m = _payload(_load(args.model), "preparation")
-    report = Report()
-    _preparation_checks(report, m)
-    return emit(report, args)
-
-
-def cmd_pbr(args) -> int:
-    q = _parse_fraction(args.q, "q")
+def cmd_pbr(report: Report, _, args) -> None:
+    q = parse_rational(args.q, "--q")
     m, ms = timed(lambda: pbr_counterexample(PBRParams(q)))
-    report = Report()
     report.add("model-tables", "emitted", True, ms, detail=describe(m), artifact=m)
-    _preparation_checks(report, m)
+    cmd_prep_check(report, m, args)
 
     probs, ms = timed(
         overlap_event_probability, m, {site: (OVERLAP,) for site in m.scenario.sites}
@@ -507,25 +477,20 @@ def cmd_pbr(args) -> int:
         ),
         artifact=probs,
     )
-    return emit(report, args)
 
 
-def cmd_demo(args) -> int:
-    if args.which == "epr":
-        return _demo_epr(args)
-    if args.which == "steering":
-        return _demo_steering(args)
-    return _demo_chsh(args)
+def cmd_demo(report: Report, _, args) -> None:
+    from .. import quantum
+
+    demo = {"epr": _demo_epr, "steering": _demo_steering, "chsh": _demo_chsh}[args.which]
+    demo(report, quantum, args)
 
 
 def _complex_pairs(zs) -> list:
     return [[float(z.real), float(z.imag)] for z in zs]
 
 
-def _demo_epr(args) -> int:
-    from .. import quantum
-
-    report = Report()
+def _demo_epr(report: Report, quantum, args) -> None:
     plus = quantum.plus_state()
     for name, observable in (("observable-x", quantum.pauli_x()), ("observable-z", quantum.pauli_z())):
         res, ms = timed(quantum.observable_epistemicity, plus, observable)
@@ -539,13 +504,9 @@ def _demo_epr(args) -> int:
                 f"masses {frac(m_a)} and {frac(m_b)}"
             )
         report.add(name, "ontic" if ontic else "epistemic", ontic, ms, detail=detail, artifact=res)
-    return emit(report, args)
 
 
-def _demo_steering(args) -> int:
-    from .. import quantum
-
-    report = Report()
+def _demo_steering(report: Report, quantum, args) -> None:
     basis = args.basis
     other = "x" if basis == "z" else "z"
 
@@ -588,13 +549,9 @@ def _demo_steering(args) -> int:
         ),
         artifact=[_complex_pairs(row) for row in rho],
     )
-    return emit(report, args)
 
 
-def _demo_chsh(args) -> int:
-    from .. import quantum
-
-    report = Report()
+def _demo_chsh(report: Report, quantum, args) -> None:
     h, build_ms = timed(zoo.chsh_psi_complete, args.max_denominator)
     e, ms = timed(operational_probabilities, h, "entangled-pair")
     build_ms += ms
@@ -610,7 +567,6 @@ def _demo_chsh(args) -> int:
     )
     report.check("parameter-independence", is_parameter_independent, h)
     _decision(report, e, DEFAULT_ASSIGNMENT_CAP)
-    return emit(report, args)
 
 
 def chsh_value(e: EmpiricalModel) -> Fraction:
@@ -632,7 +588,7 @@ def chsh_value(e: EmpiricalModel) -> Fraction:
     )
 
 
-def cmd_zoo(args) -> int:
+def cmd_zoo(report: Report, _, args) -> int:
     if args.action == "list":
         entries = [zoo.get_entry(name) for name in zoo.zoo_names()]
         if args.json:
@@ -660,7 +616,7 @@ def cmd_zoo(args) -> int:
         return 0
     if not args.name:
         raise OntolabError("zoo export needs an entry name")
-    q = _parse_fraction(args.q, "q") if args.q is not None else None
+    q = parse_rational(args.q, "--q") if args.q is not None else None
     mf = zoo.load_model(args.name, q=q, max_denominator=args.max_denominator)
     sys.stdout.write(serialize_model_file(mf))
     return 0
@@ -678,9 +634,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, func, model_arg=True):
+    def add(name, help_text, func, kind=None, model_arg=True):
         sp = sub.add_parser(name, help=help_text)
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=func, kind=kind)
         sp.add_argument("--json", action="store_true", help="machine-readable report")
         sp.add_argument("--brief", action="store_true", help="truncate witness detail")
         if model_arg:
@@ -688,18 +644,18 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     add("validate", "parse a model file and check its invariants", cmd_validate)
-    add("check-ns", "no-signalling check on an empirical model", cmd_check_ns)
-    sp = add("decide-local", "local realizability, with witness or certificate", cmd_decide_local)
+    add("check-ns", "no-signalling check on an empirical model", cmd_check_ns, "empirical")
+    sp = add("decide-local", "local realizability, with witness or certificate", cmd_decide_local, "empirical")
     sp.add_argument(
         "--cap",
         type=int,
         default=DEFAULT_ASSIGNMENT_CAP,
         help="refuse scenarios with more global assignments than this",
     )
-    add("classify-property", "ontic or epistemic, with the inversion cross-check", cmd_classify_property)
-    add("onto-report", "all model checks plus per-measurement property status", cmd_onto_report)
-    add("canonicalize", "rewrite a local model over global assignments", cmd_canonicalize)
-    add("prep-check", "preparation signalling and independence checks", cmd_prep_check)
+    add("classify-property", "ontic or epistemic, with the inversion cross-check", cmd_classify_property, "property")
+    add("onto-report", "all model checks plus per-measurement property status", cmd_onto_report, "ontological")
+    add("canonicalize", "rewrite a local model over global assignments", cmd_canonicalize, "ontological")
+    add("prep-check", "preparation signalling and independence checks", cmd_prep_check, "preparation")
 
     sp = add("pbr", "two-site overlap counter-example at a given q", cmd_pbr, model_arg=False)
     sp.add_argument("--q", default="1/4", help="overlap weight in (0, 1/2], e.g. 1/4")
@@ -737,7 +693,15 @@ def main(argv=None) -> int:
         code = e.code
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
+        subject = None
+        if args.kind:
+            mf = _load(args.model)
+            if mf.kind != args.kind:
+                raise OntolabError(f"expected a model of kind {args.kind!r}, got {mf.kind!r}")
+            subject = mf.payload
+        report = Report()
+        code = args.func(report, subject, args)
+        return emit(report, args) if code is None else code
     except InternalError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 5

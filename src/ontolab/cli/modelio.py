@@ -120,7 +120,10 @@ _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 def rational_to_str(x: Fraction) -> str:
     x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    try:
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    except ValueError as e:  # beyond the interpreter's int-string digit limit
+        raise OntolabError("a rational has too many digits to write") from e
 
 
 def parse_rational(text: Any, path: str = "value") -> Fraction:

@@ -189,7 +189,7 @@ def _integer_rows(rows: Sequence[Sequence], rhs: Sequence) -> tuple:
     out = []
     scales = []
     for r, b in zip(rows, rhs):
-        if all(type(v) is int for v in r):
+        if not set(map(type, r)) - {int}:
             b = b if isinstance(b, (int, Fraction)) else Fraction(b)
             d = b.denominator
             out.append([v * d for v in r] + [b.numerator])

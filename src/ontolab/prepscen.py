@@ -294,31 +294,21 @@ def product_preparation_model(
 def as_measurement_model(m: PreparationModel) -> OntologicalModel:
     """Literal translation into measurement-scenario form.
 
-    Each (site, preparation) pair becomes a measurement whose outcomes are
-    the site's ontic states; joint preparations become contexts; the
-    tables become the responses of a single dummy ontic state. Signalling
-    and factorization checks then mirror their preparation counterparts.
+    Each (site, preparation) pair becomes a measurement, named by that
+    tuple, whose outcomes are the site's ontic states; joint preparations
+    become contexts; the tables become the responses of a single dummy
+    ontic state. Signalling and factorization checks then mirror their
+    preparation counterparts.
     """
     sc = m.scenario
-    label = {}
-    outcomes = {}
-    for s in sc.sites:
-        for p in sc.preparations[s]:
-            name = f"{s}:{p}"
-            label[(s, p)] = name
-            outcomes[name] = tuple(sc.ontic_spaces[s])
-    cover = []
-    for jp in sc.joint_preparations():
-        cover.append(tuple(label[(s, p)] for s, p in zip(sc.sites, jp)))
+    outcomes = {(s, p): tuple(sc.ontic_spaces[s]) for s in sc.sites for p in sc.preparations[s]}
+    cover = [tuple(zip(sc.sites, jp)) for jp in sc.joint_preparations()]
     scenario = MeasurementScenario.make(outcomes, cover)
     responses = {}
     for jp in sc.joint_preparations():
-        ctx_labels = {label[(s, p)]: i for i, (s, p) in enumerate(zip(sc.sites, jp))}
-        event_of = lambda js, cl=ctx_labels: JointOutcome(
-            tuple((name, js[i]) for name, i in cl.items())
-        )
-        ctx = tuple(sorted(ctx_labels))
-        responses[("*", ctx)] = m.table(jp).map_elements(event_of)
+        names = tuple(zip(sc.sites, jp))
+        event_of = lambda js, names=names: JointOutcome.of(names, js)
+        responses[("*", tuple(sorted(names)))] = m.table(jp).map_elements(event_of)
     return OntologicalModel(
         scenario, ("p",), ("*",), {"p": Dist.delta("*")}, responses
     )

@@ -542,30 +542,28 @@ def psi_complete_model(
     """
     if not preps:
         raise InvariantViolation("no preparations given")
-    dims = {k.dimension for k in preps.values()}
     contexts = {}
     for given_ctx, povm in measurements.items():
         given = tuple(given_ctx)
         order = sorted(range(len(given)), key=lambda i: given[i])
         ctx = tuple(given[i] for i in order)
-        relabelled = []
-        for label, effect in povm.effects:
+        relabel = {}
+        for label in povm.labels:
             flat = _flat(label)
             if len(flat) != len(given):
                 raise InvariantViolation(
                     f"effect label {label!r} does not give one outcome per measurement of {given}"
                 )
-            relabelled.append((tuple(flat[i] for i in order), effect))
-        contexts[ctx] = Povm(tuple(relabelled))
-        dims.add(povm.dimension)
-    if len(dims) != 1:
-        raise DimensionMismatch("preparations and effects act on different dimensions")
+            relabel[label] = tuple(flat[i] for i in order)
+        if len(set(relabel.values())) != len(relabel):
+            raise InvariantViolation("duplicate effect labels")
+        contexts[ctx] = (povm, relabel)
 
     outcome_order: dict = {}
     for ctx in sorted(contexts):
         for i, m in enumerate(ctx):
             seen = []
-            for label in contexts[ctx].labels:
+            for label in contexts[ctx][1].values():
                 if label[i] not in seen:
                     seen.append(label[i])
             if m in outcome_order:
@@ -578,7 +576,10 @@ def psi_complete_model(
     responses = {}
     for name in _ordered(preps):
         rho = DensityMatrix.from_ket(preps[name])
-        raw = {ctx: born(rho, contexts[ctx]) for ctx in scenario.cover}
+        raw = {}
+        for ctx in scenario.cover:
+            povm, relabel = contexts[ctx]
+            raw[ctx] = {relabel[label]: p for label, p in born(rho, povm).items()}
         float_marginals = {}
         exact_marginals = {}
         for m in scenario.measurements:

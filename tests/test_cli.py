@@ -158,6 +158,20 @@ class TestPbr:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("q", ["1e-5000", "0.25"])
+    def test_q_takes_the_model_file_grammar(self, cli, q):
+        """`--q` reads `N` or `N/D`, as model files do: no exponents, no
+        decimals."""
+        code, _, err = cli("pbr", "--q", q)
+        assert code == 2
+        assert "error:" in err
+
+    def test_q_with_too_many_digits_to_write(self, cli):
+        """q itself reads, but q*q is past the int-string digit limit."""
+        code, _, err = cli("pbr", "--q", "1/1" + "0" * 3000)
+        assert code == 2
+        assert "too many digits" in err
+
 
 class TestDemos:
     def test_epr(self, cli):
@@ -344,6 +358,11 @@ class TestZooCommand:
         assert code == 0
         table = parse_model_file(out).payload.table(("psi0", "psi1"))
         assert table.weight(("overlap", "outside")) == F(1, 3)
+
+    def test_export_refuses_an_exponent_q(self, cli):
+        code, _, err = cli("zoo", "export", "pbr-q", "--q", "1e-5000")
+        assert code == 2
+        assert "error:" in err
 
     def test_export_needs_a_name(self, cli):
         code, _, err = cli("zoo", "export")

@@ -1,9 +1,12 @@
 """Preparation scenarios: signalling, independence, the overlap model, and
 the measurement-side translation."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ontolab import (
     BadRegion,
@@ -225,3 +228,69 @@ class TestMeasurementTranslation:
             h = as_measurement_model(m)
             assert is_parameter_independent(h)
             assert factorizes(h)
+
+
+# ------------------------------------------- differential test of the translation
+
+# Labels that collide when a site and a preparation are joined with ":".
+LABELS = ("a", "b", "a:b", "b:a")
+labels = st.lists(st.sampled_from(LABELS), min_size=1, max_size=2, unique=True).map(tuple)
+
+
+@st.composite
+def dists(draw, elements):
+    counts = draw(st.lists(st.integers(0, 3), min_size=len(elements), max_size=len(elements)))
+    if not any(counts):
+        counts[0] = 1
+    total = sum(counts)
+    return Dist({x: F(c, total) for x, c in zip(elements, counts)})
+
+
+@st.composite
+def preparation_models(draw):
+    """Product, correlated (a mixture of two products over a shared
+    variable: no preparation signalling, usually dependent) or arbitrary
+    (usually signalling) tables on 1-3 sites."""
+    sites = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=3, unique=True))
+    sc = PreparationScenario(
+        tuple(sites), {s: draw(labels) for s in sites}, {s: draw(labels) for s in sites}
+    )
+    kind = draw(st.sampled_from(("product", "correlated", "signalling")))
+    joint_states = sc.joint_states()
+    if kind == "signalling":
+        tables = {jp: draw(dists(joint_states)) for jp in sc.joint_preparations()}
+        return PreparationModel(sc, tables)
+    branches = 1 if kind == "product" else 2
+    weights = draw(dists(range(branches)))
+    local = [
+        {(s, p): draw(dists(sc.ontic_spaces[s])) for s in sites for p in sc.preparations[s]}
+        for _ in range(branches)
+    ]
+    def cell(jp, js):
+        return sum(
+            weights.weight(k) * math.prod(local[k][(s, p)].weight(lam) for s, p, lam in zip(sites, jp, js))
+            for k in range(branches)
+        )
+
+    tables = {jp: Dist({js: cell(jp, js) for js in joint_states}) for jp in sc.joint_preparations()}
+    return PreparationModel(sc, tables)
+
+
+def colliding_names_model() -> PreparationModel:
+    """Site "a" with preparation "b:a" and site "a:b" with preparation "a"
+    both read "a:b:a" when joined with ":"."""
+    sc = PreparationScenario(("a", "a:b"), {"a": ("b:a",), "a:b": ("a",)}, {"a": ("a",), "a:b": ("b",)})
+    return PreparationModel(sc, {("b:a", "a"): Dist.delta(("a", "b"))})
+
+
+@settings(max_examples=300, deadline=None)
+@given(preparation_models())
+@example(colliding_names_model())
+def test_translation_mirrors_preparation_verdicts(m):
+    """No preparation signalling is parameter independence of the
+    translation; preparation independence is parameter independence plus
+    factorization."""
+    h = as_measurement_model(m)
+    pi = bool(is_parameter_independent(h))
+    assert bool(is_no_preparation_signalling(m)) == pi
+    assert bool(is_preparation_independent(m)) == (pi and bool(factorizes(h)))

@@ -294,11 +294,56 @@ class TestPsiCompleteModel:
                 {"s": qubit0()}, {("m", "n"): z_basis_povm()}
             )
 
+    def test_labels_must_stay_distinct_in_the_context(self):
+        """"0" and ("0",) are distinct POVM labels but name the same
+        outcome of a one-measurement context."""
+        povm = projective_povm([("0", qubit0()), (("0",), qubit1())])
+        with pytest.raises(InvariantViolation):
+            psi_complete_model({"s": qubit0()}, {("m",): povm})
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             psi_complete_model(
                 {"s": bell_phi_plus()}, {("m",): z_basis_povm()}
             )
+
+    def test_each_povm_is_validated_once(self, monkeypatch):
+        """The given POVMs are used as they are, not rebuilt: building the
+        CHSH model solves 33 eigenproblems (16 qubit effects of the eight
+        direction POVMs, 16 two-qubit effects checked in `tensor`, and the
+        state), not 49."""
+        from ontolab.cli.zoo import chsh_psi_complete
+
+        calls = []
+        eigh = quantum._eigh
+        monkeypatch.setattr(quantum, "_eigh", lambda m: calls.append(m) or eigh(m))
+        chsh_psi_complete()
+        assert 0 < len(calls) <= 33
+
+    def test_inconsistent_marginals_are_rationalized_per_table(self):
+        """a0 is certain in the Bell basis and a fair coin beside an x
+        measurement, so the float marginals disagree; each table is then
+        rationalized on its own and the model signals through a0."""
+        s = 1 / math.sqrt(2)
+        bell_basis = projective_povm(
+            [
+                (("0", "0"), Ket.of([s, 0, 0, s])),
+                (("0", "1"), Ket.of([s, 0, 0, -s])),
+                (("1", "0"), Ket.of([0, s, s, 0])),
+                (("1", "1"), Ket.of([0, s, -s, 0])),
+            ]
+        )
+        meas = {("a0", "b0"): bell_basis, ("a0", "b1"): tensor(z_basis_povm(), x_basis_povm())}
+        m = psi_complete_model({"pair": bell_phi_plus()}, meas, max_denominator=1000)
+        res = is_parameter_independent(m)
+        assert not res
+        assert res.witness.measurement == "a0"
+        rho = DensityMatrix.from_ket(bell_phi_plus())
+        for ctx, povm in meas.items():
+            table = m.response("pair", ctx)
+            assert sum(table.weights.values()) == 1
+            for label, p in born(rho, povm).items():
+                assert abs(float(table.weight(JointOutcome.of(ctx, label))) - p) <= 4 / 1000
 
 
 class TestObservableEpistemicity:
