@@ -328,8 +328,7 @@ def cmd_validate(report: Report, _, args) -> None:
             f"{len(payload.scenario.cover)} contexts"
         )
     elif isinstance(payload, PreparationModel):
-        sc = payload.scenario
-        stats = f"{len(sc.sites)} sites, {len(list(sc.joint_preparations()))} joint preparations"
+        stats = f"{len(payload.scenario.sites)} sites, {len(payload.tables)} joint preparations"
     elif isinstance(payload, Property):
         stats = f"{len(payload.ontic_space)} ontic states, {len(payload.values)} values"
     else:

@@ -3,23 +3,25 @@
 Wire format: a model file is an object with "format_version" (currently
 1), "kind" (one of empirical, ontological, preparation, property,
 quantum-demo-config), and "payload". Rationals are strings "num/den" (or
-"num" for integers); distributions are maps from encoded events to such
-strings; composite keys join labels with commas, so labels themselves are
-non-empty strings without commas.
+"num" for integers) in ASCII digits; distributions are maps from encoded
+events to such strings; composite keys join labels with commas, so labels
+themselves are non-empty strings without commas. No object may repeat a
+key.
 
 Parse failures are graded: malformed JSON, or bytes that are not UTF-8,
 raise ModelSyntaxError with line and column; structural mismatches raise
 SchemaError naming the offending path, as do a document nested too deeply
-to parse and a number with more digits than the interpreter reads; and
-well-formed payloads whose numbers break a model invariant raise
-InvariantViolation carrying the underlying detail (for a bad
-distribution, the exact deficit).
+to parse, a repeated object key and a number with more digits than the
+interpreter reads; and well-formed payloads whose numbers break a model
+invariant raise InvariantViolation carrying the underlying detail (for a
+bad distribution, the exact deficit).
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,7 +117,7 @@ class ModelFile:
             raise InvariantViolation(f"unsupported format_version {self.format_version}")
 
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 def rational_to_str(x: Fraction) -> str:
@@ -127,7 +129,7 @@ def rational_to_str(x: Fraction) -> str:
 
 
 def parse_rational(text: Any, path: str = "value") -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise SchemaError(path, f"expected a rational like \"3/4\", got {text!r}")
     try:
         return Fraction(text)
@@ -199,10 +201,7 @@ def _dist_from_obj(obj: Any, path: str, key_from) -> Dist:
     _expect(obj, dict, path)
     weights = {}
     for key, val in obj.items():
-        elem = key_from(key, f"{path}/{key}")
-        if elem in weights:
-            raise SchemaError(f"{path}/{key}", "duplicate event")
-        weights[elem] = parse_rational(val, f"{path}/{key}")
+        weights[key_from(key, f"{path}/{key}")] = parse_rational(val, f"{path}/{key}")
     with _guard(path):
         return Dist(weights)
 
@@ -332,8 +331,6 @@ def preparation_from_obj(obj: Any, path: str) -> PreparationModel:
         jp = tuple(key.split(","))
         if len(jp) != len(sites):
             raise SchemaError(f"{path}/tables/{key}", "joint preparation does not name every site")
-        if jp in tables:
-            raise SchemaError(f"{path}/tables/{key}", "duplicate joint preparation")
 
         def js_from(k: str, p: str, n=len(sites)) -> tuple:
             parts = tuple(k.split(","))
@@ -447,11 +444,22 @@ def serialize_model_file(mf: ModelFile) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise SchemaError("document", f"key {key!r} appears twice in one object")
+    return obj
+
+
 def parse_model_file(text: Union[str, bytes]) -> ModelFile:
     """Decode and validate a model file; see the module docstring for the
     error grading."""
     try:
-        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+        doc = json.loads(
+            text.decode("utf-8") if isinstance(text, bytes) else text,
+            object_pairs_hook=_unique_keys,
+        )
     except json.JSONDecodeError as e:
         raise ModelSyntaxError(e.lineno, e.colno, e.msg) from e
     except UnicodeDecodeError as e:

@@ -28,7 +28,9 @@ from .probcore import (
     OntolabError,
     PASS,
     _ordered,
+    checked_tables,
     is_delta,
+    labels,
     marginal_agreement,
     marginalize,
     product_mismatch,
@@ -107,44 +109,24 @@ class OntologicalModel:
     responses: Mapping[tuple, Dist]
 
     def __post_init__(self):
-        preps = tuple(_ordered(self.preparations))
-        states = tuple(_ordered(self.ontic_space))
-        if not preps:
-            raise InvariantViolation("model declares no preparations")
-        if not states:
-            raise InvariantViolation("model has an empty ontic space")
-        if len(set(preps)) != len(preps) or len(set(states)) != len(states):
-            raise InvariantViolation("duplicate preparation or ontic labels")
-        if set(self.prep_dists) != set(preps):
-            raise InvariantViolation("prep_dists must be total on the preparations")
-        for p, d in self.prep_dists.items():
-            stray = d.support - set(states)
-            if stray:
-                raise InvariantViolation(f"preparation {p!r} weights unknown states {sorted(stray)}")
-        responses = {}
-        for key, d in self.responses.items():
-            lam, ctx = key
-            responses[(lam, tuple(_ordered(ctx)))] = d
-        expected = {(lam, ctx) for lam in states for ctx in self.scenario.cover}
-        if set(responses) != expected:
-            missing = expected - set(responses)
-            extra = set(responses) - expected
-            raise InvariantViolation(
-                f"responses must cover every (state, context) pair exactly "
-                f"(missing {sorted(missing)[:3]}, extra {sorted(extra)[:3]})"
-            )
-        for (lam, ctx), d in responses.items():
-            bad = [x for x in d.support if not self.scenario.is_event(ctx, x)]
-            if bad:
-                raise InvariantViolation(
-                    f"response at ({lam!r}, {ctx}) has events outside the carrier: {_ordered(bad)[:3]}"
-                )
+        sc = self.scenario
+        preps = labels(_ordered(self.preparations), "preparation labels")
+        states = labels(_ordered(self.ontic_space), "ontic states")
+        known, cover = set(states), set(sc.cover)
+        prep_dists = checked_tables(
+            self.prep_dists, len(preps), set(preps).__contains__,
+            lambda p, lam: lam in known, "prep_dists",
+        )
+        responses = {(lam, tuple(_ordered(ctx))): d for (lam, ctx), d in self.responses.items()}
+        responses = checked_tables(
+            responses, len(states) * len(cover),
+            lambda key: key[0] in known and key[1] in cover,
+            lambda key, x: sc.is_event(key[1], x), "responses",
+        )
         object.__setattr__(self, "preparations", preps)
         object.__setattr__(self, "ontic_space", states)
-        object.__setattr__(self, "prep_dists", {p: self.prep_dists[p] for p in preps})
-        object.__setattr__(
-            self, "responses", {k: responses[k] for k in _ordered(responses)}
-        )
+        object.__setattr__(self, "prep_dists", prep_dists)
+        object.__setattr__(self, "responses", responses)
 
     def response(self, state: Any, context: Sequence) -> Dist:
         return self.responses[(state, tuple(_ordered(context)))]
@@ -262,13 +244,12 @@ class CanonicalLocalModel:
     weights: Mapping[Any, Dist]
 
     def __post_init__(self):
-        for p, d in self.weights.items():
-            for omega in d.support:
-                if not self.scenario.is_event(self.scenario.measurements, omega):
-                    raise InvariantViolation(
-                        f"weight for {p!r} is not over total assignments: {omega!r}"
-                    )
-        object.__setattr__(self, "weights", {p: self.weights[p] for p in _ordered(self.weights)})
+        sc = self.scenario
+        weights = checked_tables(
+            self.weights, len(self.weights), lambda p: True,
+            lambda p, omega: sc.is_event(sc.measurements, omega), "weights",
+        )
+        object.__setattr__(self, "weights", weights)
 
     def as_ontological_model(self) -> OntologicalModel:
         """Re-express with assignments as ontic states and delta responses."""

@@ -18,6 +18,7 @@ the product of the site marginals says they should.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Optional, Sequence
@@ -31,6 +32,8 @@ from .probcore import (
     OntolabError,
     PASS,
     _ordered,
+    checked_tables,
+    labels,
     marginal_agreement,
     product_mismatch,
 )
@@ -59,22 +62,11 @@ class PreparationScenario:
     ontic_spaces: Mapping[Any, tuple]
 
     def __post_init__(self):
-        sites = tuple(self.sites)
-        if not sites or len(set(sites)) != len(sites):
-            raise InvariantViolation("sites must be non-empty and distinct")
-        preps = {}
-        spaces = {}
-        for s in sites:
-            if s not in self.preparations or not self.preparations[s]:
-                raise InvariantViolation(f"site {s!r} has no preparations")
-            if s not in self.ontic_spaces or not self.ontic_spaces[s]:
-                raise InvariantViolation(f"site {s!r} has no ontic states")
-            preps[s] = tuple(self.preparations[s])
-            spaces[s] = tuple(self.ontic_spaces[s])
-            if len(set(preps[s])) != len(preps[s]) or len(set(spaces[s])) != len(spaces[s]):
-                raise InvariantViolation(f"duplicate labels at site {s!r}")
+        sites = labels(self.sites, "sites")
         if set(self.preparations) != set(sites) or set(self.ontic_spaces) != set(sites):
             raise InvariantViolation("per-site maps must cover exactly the declared sites")
+        preps = {s: labels(self.preparations[s], f"preparations at site {s!r}") for s in sites}
+        spaces = {s: labels(self.ontic_spaces[s], f"ontic states at site {s!r}") for s in sites}
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "preparations", preps)
         object.__setattr__(self, "ontic_spaces", spaces)
@@ -126,21 +118,25 @@ class DependenceWitness:
 
 @dataclass(frozen=True)
 class PreparationModel:
-    """One distribution over joint ontic states per joint preparation."""
+    """One distribution over joint ontic states per joint preparation.
+
+    Validation counts the tables and checks each key site by site, so it
+    never lists the joint preparations.
+    """
 
     scenario: PreparationScenario
     tables: Mapping[tuple, Dist]
 
     def __post_init__(self):
-        tables = {tuple(jp): d for jp, d in self.tables.items()}
-        expected = set(map(tuple, self.scenario.joint_preparations()))
-        if set(tables) != expected:
-            raise InvariantViolation("tables must cover exactly the joint preparations")
-        for jp, d in tables.items():
-            stray = [js for js in d.support if not self.scenario.is_joint_state(js)]
-            if stray:
-                raise InvariantViolation(f"table for {jp} weights unknown joint states: {_ordered(stray)[:3]}")
-        object.__setattr__(self, "tables", {jp: tables[jp] for jp in sorted(tables)})
+        sc = self.scenario
+        pools = [set(sc.preparations[s]) for s in sc.sites]
+        tables = checked_tables(
+            {tuple(jp): d for jp, d in self.tables.items()},
+            math.prod(map(len, pools)),
+            lambda jp: len(jp) == len(pools) and all(p in pool for p, pool in zip(jp, pools)),
+            lambda jp, js: sc.is_joint_state(js), "tables",
+        )
+        object.__setattr__(self, "tables", tables)
 
     def table(self, joint_preparation: Sequence) -> Dist:
         return self.tables[tuple(joint_preparation)]

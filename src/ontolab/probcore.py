@@ -7,10 +7,15 @@ elements on construction; absence of an element always means exactly zero.
 Values are immutable once built and all operations are pure functions, so
 everything defined here can be shared freely across threads.
 
-Three rules used across the package live here once. `marginal_agreement`
-finds the first of a family of marginals that differs from the first one;
-no-signalling, parameter independence, well-defined observable properties
-and no-preparation-signalling are all that comparison. `product_mismatch`
+Five rules used across the package live here once. `labels` and
+`checked_tables` give every model its shape: a label list is a non-empty
+tuple without repeats, and a model holds exactly one table per key, with
+every support element inside its key's carrier. `checked_tables` counts
+the keys and tests each one, so no constructor lists a product of labels
+to compare against. `marginal_agreement` finds the first of a family of
+marginals that differs from the first one; no-signalling, parameter
+independence, well-defined observable properties and
+no-preparation-signalling are all that comparison. `product_mismatch`
 finds the first cell where a table differs from the product of its
 per-axis marginals; factorization of responses and preparation
 independence are both that comparison, and it visits only the product of
@@ -68,6 +73,41 @@ def _ordered(items: Iterable) -> list:
         return sorted(items)
     except TypeError:
         return list(items)
+
+
+def labels(items: Iterable, what: str) -> tuple:
+    """The items as a tuple, in the caller's order; refuses an empty or
+    repeating one."""
+    out = tuple(items)
+    if not out:
+        raise InvariantViolation(f"no {what}")
+    if len(set(out)) != len(out):
+        raise InvariantViolation(f"repeated {what}")
+    return out
+
+
+def checked_tables(tables: Mapping, count: int, is_key, is_element, what: str) -> dict:
+    """The tables in `_ordered` key order, after checking their shape.
+
+    There must be exactly ``count`` keys, each passing ``is_key``, and every
+    support element ``x`` of the table at ``key`` must pass
+    ``is_element(key, x)``. Keys are distinct, so ``count`` valid keys are
+    the whole key set: the expected keys are never listed.
+    """
+    stray = [k for k in tables if not is_key(k)]
+    if stray:
+        raise InvariantViolation(f"{what} have unknown keys {_ordered(stray)[:3]}")
+    if len(tables) != count:
+        raise InvariantViolation(
+            f"{what} need one table for each of {count} keys, got {len(tables)}"
+        )
+    for k, d in tables.items():
+        bad = [x for x in d.support if not is_element(k, x)]
+        if bad:
+            raise InvariantViolation(
+                f"{what} at {k!r} weight elements outside the carrier: {_ordered(bad)[:3]}"
+            )
+    return {k: tables[k] for k in _ordered(tables)}
 
 
 @dataclass(frozen=True)
@@ -257,44 +297,27 @@ class MeasurementScenario:
     cover: tuple
 
     def __post_init__(self):
-        ms = tuple(_ordered(self.measurements))
-        if len(set(ms)) != len(ms):
-            raise InvariantViolation("duplicate measurement labels")
-        if not ms:
-            raise InvariantViolation("scenario has no measurements")
-        outs = {}
-        for m in ms:
-            if m not in self.outcomes:
-                raise InvariantViolation(f"no outcome set for measurement {m!r}")
-            os_ = tuple(self.outcomes[m])
-            if not os_:
-                raise InvariantViolation(f"empty outcome set for {m!r}")
-            if len(set(os_)) != len(os_):
-                raise InvariantViolation(f"duplicate outcomes for {m!r}")
-            outs[m] = os_
+        ms = labels(_ordered(self.measurements), "measurement labels")
         if set(self.outcomes) != set(ms):
-            extra = set(self.outcomes) - set(ms)
-            raise InvariantViolation(f"outcome sets for unknown measurements {sorted(extra)}")
-        cover = []
-        for ctx in self.cover:
-            ctx = tuple(_ordered(ctx))
-            if not ctx:
-                raise InvariantViolation("empty context in cover")
-            unknown = set(ctx) - set(ms)
+            raise InvariantViolation("outcome sets must be given for exactly the measurements")
+        outs = {m: labels(self.outcomes[m], f"outcomes for {m!r}") for m in ms}
+        contexts = {labels(_ordered(c), "measurements in a context") for c in self.cover}
+        cover = labels(_ordered(contexts), "contexts")
+        by_measurement = {m: [] for m in ms}
+        for ctx in cover:
+            unknown = [m for m in ctx if m not in by_measurement]
             if unknown:
-                raise InvariantViolation(f"context {ctx} uses unknown measurements {sorted(unknown)}")
-            if len(set(ctx)) != len(ctx):
-                raise InvariantViolation(f"context {ctx} repeats a measurement")
-            cover.append(ctx)
-        cover = tuple(_ordered(set(cover)))
-        if not cover:
-            raise InvariantViolation("cover is empty")
-        covered = set().union(*(set(c) for c in cover))
-        if covered != set(ms):
-            raise InvariantViolation(f"measurements {sorted(set(ms) - covered)} appear in no context")
+                raise InvariantViolation(f"context {ctx} uses unknown measurements {unknown}")
+            for m in ctx:
+                by_measurement[m].append(ctx)
+        idle = [m for m in ms if not by_measurement[m]]
+        if idle:
+            raise InvariantViolation(f"measurements {idle} appear in no context")
+        # A context strictly inside another shares its first measurement.
         for c1 in cover:
-            for c2 in cover:
-                if c1 != c2 and set(c1) < set(c2):
+            s1 = set(c1)
+            for c2 in by_measurement[c1[0]]:
+                if len(c2) > len(s1) and s1.issubset(c2):
                     raise InvariantViolation(f"context {c1} is strictly contained in {c2}")
         object.__setattr__(self, "measurements", ms)
         object.__setattr__(self, "outcomes", outs)
@@ -366,18 +389,11 @@ class EmpiricalModel:
     tables: Mapping[tuple, Dist]
 
     def __post_init__(self):
+        sc = self.scenario
+        cover = set(sc.cover)
         tables = {tuple(_ordered(c)): d for c, d in self.tables.items()}
-        if set(tables) != set(self.scenario.cover):
-            missing = set(self.scenario.cover) - set(tables)
-            extra = set(tables) - set(self.scenario.cover)
-            raise InvariantViolation(
-                f"tables do not match the cover (missing {sorted(missing)}, extra {sorted(extra)})"
-            )
-        for ctx, d in tables.items():
-            bad = [x for x in d.support if not self.scenario.is_event(ctx, x)]
-            if bad:
-                raise InvariantViolation(f"table for {ctx} has events outside the carrier: {_ordered(bad)[:3]}")
-        object.__setattr__(self, "tables", {c: tables[c] for c in self.scenario.cover})
+        tables = checked_tables(tables, len(cover), cover.__contains__, sc.is_event, "tables")
+        object.__setattr__(self, "tables", tables)
 
     def table(self, context: Sequence) -> Dist:
         return self.tables[tuple(_ordered(context))]

@@ -16,10 +16,11 @@ from typing import Any, Mapping, Optional, Union
 
 from .probcore import (
     Dist,
-    InvariantViolation,
     OntolabError,
     _ordered,
+    checked_tables,
     is_delta,
+    labels,
 )
 
 
@@ -36,23 +37,16 @@ class Property:
     value_dists: Mapping[Any, Dist]
 
     def __post_init__(self):
-        states = tuple(_ordered(self.ontic_space))
-        values = tuple(_ordered(self.values))
-        if not states:
-            raise InvariantViolation("empty ontic space")
-        if not values:
-            raise InvariantViolation("empty value set")
-        if len(set(states)) != len(states) or len(set(values)) != len(values):
-            raise InvariantViolation("duplicate ontic states or values")
-        if set(self.value_dists) != set(states):
-            raise InvariantViolation("value_dists must be total on the ontic space")
-        for lam, d in self.value_dists.items():
-            stray = d.support - set(values)
-            if stray:
-                raise InvariantViolation(f"state {lam!r} assigns weight outside the value set: {sorted(stray)}")
+        states = labels(_ordered(self.ontic_space), "ontic states")
+        values = labels(_ordered(self.values), "values")
+        known = set(values)
+        value_dists = checked_tables(
+            self.value_dists, len(states), set(states).__contains__,
+            lambda lam, v: v in known, "value_dists",
+        )
         object.__setattr__(self, "ontic_space", states)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "value_dists", {s: self.value_dists[s] for s in states})
+        object.__setattr__(self, "value_dists", value_dists)
 
     def dist_at(self, state: Any) -> Dist:
         return self.value_dists[state]

@@ -11,7 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from ontolab import Dist, EmpiricalModel, PreparationModel, PreparationScenario, Property
+from ontolab import (
+    Dist,
+    EmpiricalModel,
+    OntologicalModel,
+    PreparationModel,
+    PreparationScenario,
+    Property,
+)
 from ontolab.probcore import InternalError, JointOutcome
 from ontolab.cli.main import main
 from ontolab.cli.modelio import model_file_for, parse_model_file, serialize_model_file
@@ -117,6 +124,37 @@ class TestExitCodes:
         assert code == 0
         assert "canonical-form" in out
         assert "operational-check  pass" in out
+
+    def test_canonicalize_emits_the_canonical_artifact(self, cli, tmp_path):
+        """Two deterministic states; preparation p mixes them, q fixes u."""
+        scenario = bell_scenario()
+        fixed = {
+            "u": {"a0": "0", "a1": "1", "b0": "0", "b1": "1"},
+            "v": {m: "1" for m in scenario.measurements},
+        }
+        responses = {
+            (lam, ctx): Dist.delta(JointOutcome.of(ctx, tuple(fixed[lam][m] for m in ctx)))
+            for lam in fixed
+            for ctx in scenario.cover
+        }
+        h = OntologicalModel(
+            scenario, ("p", "q"), ("u", "v"),
+            {"p": Dist.uniform(["u", "v"]), "q": Dist.delta("u")}, responses,
+        )
+        path = write_model(tmp_path, h)
+        code, out, _ = cli("canonicalize", path)
+        assert code == 0
+        assert "preparation p:\n      a0=0 a1=1 b0=0 b1=1  ->  1/2\n      a0=1 a1=1 b0=1 b1=1  ->  1/2" in out
+        assert "operational-check  pass" in out
+        code, out, _ = cli("canonicalize", path, "--json")
+        assert code == 0
+        verdict = next(v for v in json.loads(out)["verdicts"] if v["check"] == "canonical-form")
+        artifact = verdict["artifact"]
+        assert artifact["scenario"]["measurements"] == ["a0", "a1", "b0", "b1"]
+        assert artifact["weights"] == {
+            "p": {"0,1,0,1": "1/2", "1,1,1,1": "1/2"},
+            "q": {"0,1,0,1": "1"},
+        }
 
     def test_canonicalize_non_local_model(self, cli):
         code, out, _ = cli("canonicalize", "zoo:psi-complete-chsh")
@@ -235,6 +273,25 @@ class TestInputErrors:
         code, _, err = cli("validate", str(path))
         assert code == 2
         assert "too many digits" in err
+
+    @pytest.mark.parametrize(
+        "once,twice",
+        [
+            ('"0,0": "1/2"', '"0,0": "1/2", "0,0": "1/2"'),
+            ('"kind": "empirical"', '"kind": "empirical", "kind": "empirical"'),
+        ],
+        ids=["table", "document"],
+    )
+    def test_repeated_object_key(self, cli, tmp_path, once, twice):
+        """The repeat carries the same value, so reading the last one would
+        pass silently."""
+        text = serialize_model_file(model_file_for(pr_box()))
+        assert once in text
+        path = tmp_path / "repeated.json"
+        path.write_text(text.replace(once, twice, 1))
+        code, _, err = cli("validate", str(path))
+        assert code == 2
+        assert "appears twice" in err
 
     def test_not_utf8(self, cli, tmp_path, monkeypatch):
         path = tmp_path / "prbox.json"

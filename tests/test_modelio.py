@@ -81,7 +81,9 @@ class TestParseRational:
     def test_accepted(self, text, value):
         assert parse_rational(text) == value
 
-    @pytest.mark.parametrize("text", ["1/0", "1.5", "+1/2", "1 / 2", "", "a", None, 3])
+    @pytest.mark.parametrize(
+        "text", ["1/0", "1.5", "+1/2", "1 / 2", "", "a", None, 3, "3/4\n", "1\u0660"]
+    )
     def test_rejected(self, text):
         with pytest.raises(SchemaError):
             parse_rational(text)

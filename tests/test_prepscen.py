@@ -83,6 +83,22 @@ class TestPreparationModel:
         with pytest.raises(InvariantViolation):
             PreparationModel(sc, tables)
 
+    def test_build_never_lists_joint_preparations(self, monkeypatch):
+        m = pbr_counterexample(PBRParams(F(1, 4)))
+
+        def refuse(self):
+            raise AssertionError("joint preparations listed")
+
+        monkeypatch.setattr(PreparationScenario, "joint_preparations", refuse)
+        assert PreparationModel(m.scenario, dict(m.tables)) == m
+        missing = dict(m.tables)
+        table = missing.pop(("psi0", "psi1"))
+        with pytest.raises(InvariantViolation):
+            PreparationModel(m.scenario, missing)
+        for stray in [("psi0", "psi9"), ("psi0",), ("psi0", "psi1", "psi0")]:
+            with pytest.raises(InvariantViolation):
+                PreparationModel(m.scenario, {**missing, stray: table})
+
     def test_site_marginal(self):
         m = product_coin_model()
         assert m.site_marginal(("h", "h"), "left") == Dist(

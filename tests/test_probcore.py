@@ -25,6 +25,7 @@ from ontolab import (
     product_dist,
 )
 from ontolab.cli.zoo import bell_scenario, pr_box
+from ontolab.probcore import checked_tables, labels
 
 from conftest import rand_rational_dist
 
@@ -194,6 +195,60 @@ class TestMeasurementScenario:
 
     def test_assignment_space_size(self):
         assert bell_scenario().assignment_space_size() == 16
+
+
+def first_contained_pair(cover):
+    """The quadratic rule: the first (c1, c2) in sorted cover order with c1
+    strictly inside c2."""
+    for c1 in cover:
+        for c2 in cover:
+            if c1 != c2 and set(c1) < set(c2):
+                return c1, c2
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sets(st.sampled_from("abcde"), min_size=1), min_size=1, max_size=8))
+def test_containment_reports_the_first_contained_pair(contexts):
+    cover = sorted({tuple(sorted(c)) for c in contexts})
+    outcomes = {m: ("0", "1") for c in cover for m in c}
+    expected = first_contained_pair(cover)
+    if expected is None:
+        assert MeasurementScenario.make(outcomes, contexts).cover == tuple(cover)
+    else:
+        with pytest.raises(InvariantViolation) as e:
+            MeasurementScenario.make(outcomes, contexts)
+        assert str(e.value) == f"context {expected[0]} is strictly contained in {expected[1]}"
+
+
+class TestShapeRules:
+    def test_labels_keep_the_callers_order(self):
+        assert labels(["b", "a"], "sites") == ("b", "a")
+
+    @pytest.mark.parametrize("items", [[], ["a", "b", "a"]])
+    def test_labels_refuse_empty_or_repeating(self, items):
+        with pytest.raises(InvariantViolation):
+            labels(items, "sites")
+
+    def test_checked_tables_come_back_in_key_order(self):
+        tables = {"b": Dist.delta(1), "a": Dist.delta(2)}
+        out = checked_tables(tables, 2, {"a", "b"}.__contains__, lambda k, x: True, "tables")
+        assert list(out) == ["a", "b"]
+        assert out == tables
+
+    @pytest.mark.parametrize(
+        "tables",
+        [
+            {"a": Dist.delta(1)},
+            {"a": Dist.delta(1), "b": Dist.delta(1), "c": Dist.delta(1)},
+            {"a": Dist.delta(1), "z": Dist.delta(1)},
+            {"a": Dist.delta(1), "b": Dist.delta(-1)},
+        ],
+        ids=["missing", "extra", "unknown", "stray-element"],
+    )
+    def test_checked_tables_refuse_a_wrong_shape(self, tables):
+        with pytest.raises(InvariantViolation):
+            checked_tables(tables, 2, {"a", "b"}.__contains__, lambda k, x: x > 0, "tables")
 
 
 class TestEmpiricalModel:

@@ -1,10 +1,13 @@
 """Quantum layer: states, POVMs, Born rule, rationalization, and the
 bridges to exact models."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ontolab import Dist, InvariantViolation, is_parameter_independent
 from ontolab import quantum
@@ -244,6 +247,54 @@ class TestRationalize:
     def test_bad_denominator_bound(self):
         with pytest.raises(InvariantViolation):
             rationalize({"a": 1.0}, max_denominator=0)
+
+
+@st.composite
+def completion_cases(draw):
+    """A float target over 2-3 axes of 2-4 outcomes, with many zero and tiny
+    cells, and its per-axis marginals rationalized at a cap of 3 to 1000,
+    as `psi_complete_model` hands them to `_consistent_joint`."""
+    sizes = draw(st.lists(st.integers(2, 4), min_size=2, max_size=3))
+    ctx = tuple(f"m{i}" for i in range(len(sizes)))
+    pools = {m: tuple(f"o{j}" for j in range(n)) for m, n in zip(ctx, sizes)}
+    cells = list(itertools.product(*(pools[m] for m in ctx)))
+    raw = draw(
+        st.lists(
+            st.one_of(st.just(0), st.integers(1, 3), st.integers(0, 1000)),
+            min_size=len(cells),
+            max_size=len(cells),
+        ).filter(any)
+    )
+    target = {cell: r / sum(raw) for cell, r in zip(cells, raw)}
+    cap = draw(st.integers(3, 1000))
+    marginals = {}
+    for i, m in enumerate(ctx):
+        floats = {o: 0.0 for o in pools[m]}
+        for cell, p in target.items():
+            floats[cell[i]] += p
+        try:
+            marginals[m] = rationalize(floats, cap)
+        except NotADistribution:
+            assume(False)
+    return ctx, pools, target, marginals, cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(completion_cases())
+def test_consistent_joint_is_exact_or_refused(case):
+    ctx, pools, target, marginals, cap = case
+    try:
+        joint = quantum._consistent_joint(ctx, pools, target, marginals, cap)
+    except InvariantViolation:
+        return
+    assert all(w >= 0 for w in joint.values())
+    assert sum(joint.values()) == 1
+    assert set(joint) <= set(itertools.product(*(pools[m] for m in ctx)))
+    for i, m in enumerate(ctx):
+        axis = {}
+        for cell, w in joint.items():
+            axis[cell[i]] = axis.get(cell[i], 0) + w
+        assert Dist(axis) == marginals[m]
 
 
 CHSH_ANGLES = {"a0": 0.0, "a1": math.pi / 2, "b0": math.pi / 4, "b1": -math.pi / 4}
