@@ -42,8 +42,9 @@ class ZooEntry:
     name: str
     kind: str
     summary: str
-    build: Callable[[], Payload]
+    build: Callable[..., Payload]
     expected: Mapping[str, str] = field(default_factory=dict)
+    knobs: tuple = ()  # keyword arguments of `build` that `load_model` may pass
 
 
 def bell_scenario() -> MeasurementScenario:
@@ -245,6 +246,7 @@ _register(
         "entangled-pair tables at the optimal angles, snapped to rationals",
         chsh_quantum_empirical,
         {"no-signalling": "pass", "decision": "non-local", "chsh": "about 2.82843"},
+        ("max_denominator",),
     )
 )
 _register(
@@ -259,6 +261,7 @@ _register(
             "local": "fail",
             "property-status": "all epistemic",
         },
+        ("max_denominator",),
     )
 )
 _register(
@@ -277,6 +280,7 @@ _register(
         "two-site overlap model, identical tables for every joint preparation (q = 1/4 unless overridden)",
         pbr_model,
         {"no-preparation-signalling": "pass", "preparation-independence": "fail", "overlap-event": "0"},
+        ("q",),
     )
 )
 
@@ -299,18 +303,19 @@ def load_model(
 ) -> ModelFile:
     """Resolve a zoo name to a model file.
 
-    A JSON file <name>.json under ONTOLAB_ZOO_DIR wins over the built-in;
-    the q and max-denominator knobs apply only to the entries that take
-    them (pbr-q, and the two quantum builds).
+    A JSON file <name>.json under ONTOLAB_ZOO_DIR wins over the built-in
+    when no knob is given. `q` applies only to pbr-q and `max_denominator`
+    only to the two quantum builds (chsh-quantum, psi-complete-chsh); a
+    knob given to any other entry raises OntolabError.
     """
+    knobs = {k: v for k, v in (("q", q), ("max_denominator", max_denominator)) if v is not None}
     override_dir = os.environ.get("ONTOLAB_ZOO_DIR")
-    if override_dir and q is None and max_denominator is None:
+    if override_dir and not knobs:
         path = Path(override_dir) / f"{name}.json"
         if path.is_file():
             return parse_model_file(path.read_bytes())
     entry = get_entry(name)
-    if name == "pbr-q" and q is not None:
-        return model_file_for(pbr_model(q))
-    if name in ("chsh-quantum", "psi-complete-chsh") and max_denominator is not None:
-        return model_file_for(entry.build(max_denominator))
-    return model_file_for(entry.build())
+    stray = [k for k in knobs if k not in entry.knobs]
+    if stray:
+        raise OntolabError(f"zoo entry {name!r} does not take {' or '.join(stray)}")
+    return model_file_for(entry.build(**knobs))

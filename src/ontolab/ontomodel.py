@@ -29,9 +29,9 @@ from .probcore import (
     PASS,
     _ordered,
     checked_tables,
+    first_disagreement,
     is_delta,
     labels,
-    marginal_agreement,
     marginalize,
     product_mismatch,
 )
@@ -155,14 +155,18 @@ def is_deterministic(h: OntologicalModel) -> Check:
 
 
 def is_parameter_independent(h: OntologicalModel) -> Check:
-    """Single-measurement response marginals must not depend on the context."""
-    for lam in h.ontic_space:
-        for m in h.scenario.measurements:
-            ctxs = h.scenario.contexts_with(m)
-            base, odd = marginal_agreement(ctxs, lambda ctx: marginalize(h.response(lam, ctx), (m,)))
-            if odd:
-                return Check(False, ParameterDependenceWitness(m, lam, ctxs[0], odd[0], base, odd[1]))
-    return PASS
+    """Single-measurement response marginals must not depend on the context.
+
+    States are visited in order, then measurements, then each
+    measurement's contexts in cover order; the witness is the first
+    disagreement.
+    """
+    index = h.scenario.context_index
+    families = {(m, lam): ctxs for lam in h.ontic_space for m, ctxs in index.items()}
+    odd = first_disagreement(
+        families, lambda key, ctx: marginalize(h.response(key[1], ctx), (key[0],))
+    )
+    return Check(False, ParameterDependenceWitness(*odd[0], *odd[1:])) if odd else PASS
 
 
 def is_local(h: OntologicalModel) -> Check:
@@ -202,17 +206,19 @@ def observable_property(h: OntologicalModel, measurement: Any) -> Property:
     Well defined only when the measurement's response marginal agrees
     across contexts at every state; otherwise MarginalIllDefined is raised.
     """
-    if measurement not in h.scenario.measurements:
-        raise InvariantViolation(f"unknown measurement {measurement!r}")
     ctxs = h.scenario.contexts_with(measurement)
-    dists = {}
-    for lam in h.ontic_space:
-        base, odd = marginal_agreement(
-            ctxs, lambda ctx: marginalize(h.response(lam, ctx), (measurement,))
-        )
-        if odd:
-            raise MarginalIllDefined(measurement, lam, ctxs[0], odd[0], base, odd[1])
-        dists[lam] = base.map_elements(lambda ev: ev.outcome(measurement))
+    if not ctxs:
+        raise InvariantViolation(f"unknown measurement {measurement!r}")
+    odd = first_disagreement(
+        dict.fromkeys(h.ontic_space, ctxs),
+        lambda lam, ctx: marginalize(h.response(lam, ctx), (measurement,)),
+    )
+    if odd:
+        raise MarginalIllDefined(measurement, *odd)
+    dists = {
+        lam: h.response(lam, ctxs[0]).map_elements(lambda ev: ev.outcome(measurement))
+        for lam in h.ontic_space
+    }
     return Property(h.ontic_space, h.scenario.outcomes[measurement], dists)
 
 
@@ -277,14 +283,12 @@ def canonicalize(h: OntologicalModel) -> CanonicalLocalModel:
     loc = is_local(h)
     if not loc:
         raise NotLocal(loc.witness)
-    assignment_of = {}
-    for lam in h.ontic_space:
-        pairs = []
-        for m in h.scenario.measurements:
-            ctx = h.scenario.contexts_with(m)[0]
-            ev = is_delta(marginalize(h.response(lam, ctx), (m,)))
-            pairs.append((m, ev.outcome(m)))
-        assignment_of[lam] = JointOutcome(tuple(pairs))
+    assignment_of = {
+        lam: JointOutcome.from_mapping(
+            {m: o for ctx in h.scenario.cover for m, o in is_delta(h.response(lam, ctx)).pairs}
+        )
+        for lam in h.ontic_space
+    }
     weights = {
         p: d.map_elements(lambda lam: assignment_of[lam]) for p, d in h.prep_dists.items()
     }

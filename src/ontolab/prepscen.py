@@ -4,8 +4,9 @@ The translation table is: sites choose preparations the way parties choose
 measurements, joint preparations play the role of contexts, and ontic
 states play the role of outcomes. No-preparation-signalling mirrors the
 no-signalling of empirical models, and preparation independence mirrors
-the factorization of responses: both share `probcore.marginal_agreement`
-and `probcore.product_mismatch` with their measurement counterparts.
+the factorization of responses: both share `probcore.first_disagreement`
+and `probcore.product_mismatch` with their measurement counterparts, and
+product models are built with `probcore.product_dist`.
 `as_measurement_model` makes the translation literal so the mirrored
 checks can be compared verdict for verdict.
 
@@ -33,8 +34,9 @@ from .probcore import (
     PASS,
     _ordered,
     checked_tables,
+    first_disagreement,
     labels,
-    marginal_agreement,
+    product_dist,
     product_mismatch,
 )
 from .ontomodel import OntologicalModel
@@ -147,16 +149,19 @@ class PreparationModel:
 
 
 def is_no_preparation_signalling(m: PreparationModel) -> Check:
-    """Each site's marginal may depend only on that site's own choice."""
+    """Each site's marginal may depend only on that site's own choice.
+
+    One pass over the joint preparations groups them by each (site,
+    preparation) choice. Sites are visited in declared order, then each
+    site's preparations, then the joint preparations in product order.
+    """
     sc = m.scenario
-    for site in sc.sites:
-        i = sc.site_index(site)
-        for prep in sc.preparations[site]:
-            matching = [jp for jp in sc.joint_preparations() if jp[i] == prep]
-            base, odd = marginal_agreement(matching, lambda jp: m.site_marginal(jp, site))
-            if odd:
-                return Check(False, PrepSignallingWitness(site, prep, matching[0], odd[0], base, odd[1]))
-    return PASS
+    families = {(s, p): [] for s in sc.sites for p in sc.preparations[s]}
+    for jp in sc.joint_preparations():
+        for choice in zip(sc.sites, jp):
+            families[choice].append(jp)
+    odd = first_disagreement(families, lambda choice, jp: m.site_marginal(jp, choice[0]))
+    return Check(False, PrepSignallingWitness(*odd[0], *odd[1:])) if odd else PASS
 
 
 def is_preparation_independent(m: PreparationModel) -> Check:
@@ -273,17 +278,10 @@ def product_preparation_model(
     else:
         spaces = {s: tuple(ontic_spaces[s]) for s in sites}
     scenario = PreparationScenario(sites, preps, spaces)
-    tables = {}
-    for jp in scenario.joint_preparations():
-        dists = [site_models[s][p] for s, p in zip(sites, jp)]
-        cells = {}
-        for combo in itertools.product(*(list(d.items()) for d in dists)):
-            js = tuple(lam for lam, _ in combo)
-            w = Fraction(1)
-            for _, wi in combo:
-                w *= wi
-            cells[js] = w
-        tables[jp] = Dist(cells)
+    tables = {
+        jp: product_dist(*(site_models[s][p] for s, p in zip(sites, jp)))
+        for jp in scenario.joint_preparations()
+    }
     return PreparationModel(scenario, tables)
 
 
@@ -297,14 +295,13 @@ def as_measurement_model(m: PreparationModel) -> OntologicalModel:
     preparation counterparts.
     """
     sc = m.scenario
-    outcomes = {(s, p): tuple(sc.ontic_spaces[s]) for s in sc.sites for p in sc.preparations[s]}
-    cover = [tuple(zip(sc.sites, jp)) for jp in sc.joint_preparations()]
-    scenario = MeasurementScenario.make(outcomes, cover)
+    outcomes = {(s, p): sc.ontic_spaces[s] for s in sc.sites for p in sc.preparations[s]}
     responses = {}
     for jp in sc.joint_preparations():
         names = tuple(zip(sc.sites, jp))
         event_of = lambda js, names=names: JointOutcome.of(names, js)
-        responses[("*", tuple(sorted(names)))] = m.table(jp).map_elements(event_of)
+        responses[("*", names)] = m.table(jp).map_elements(event_of)
+    scenario = MeasurementScenario.make(outcomes, [names for _, names in responses])
     return OntologicalModel(
         scenario, ("p",), ("*",), {"p": Dist.delta("*")}, responses
     )

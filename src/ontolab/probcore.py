@@ -12,21 +12,25 @@ Five rules used across the package live here once. `labels` and
 tuple without repeats, and a model holds exactly one table per key, with
 every support element inside its key's carrier. `checked_tables` counts
 the keys and tests each one, so no constructor lists a product of labels
-to compare against. `marginal_agreement` finds the first of a family of
-marginals that differs from the first one; no-signalling, parameter
-independence, well-defined observable properties and
-no-preparation-signalling are all that comparison. `product_mismatch`
-finds the first cell where a table differs from the product of its
-per-axis marginals; factorization of responses and preparation
-independence are both that comparison, and it visits only the product of
-the marginals' supports. `MeasurementScenario.is_event` says whether a
-value is a joint outcome of a context in time proportional to the context.
-So neither model validation nor any check enumerates an outcome carrier.
+to compare against. `first_disagreement` walks families of keys and
+finds the first key whose marginal differs from that of its family's first
+key; no-signalling, parameter independence, well-defined observable
+properties and no-preparation-signalling are all that comparison. The
+measurement families come from `MeasurementScenario.context_index`, the
+contexts holding each measurement, which validation builds once, so
+`contexts_with` is a lookup and no check scans the cover per measurement.
+`product_mismatch` finds the first cell where a table differs from the
+product of its per-axis marginals; factorization of responses and
+preparation independence are both that comparison, and it visits only the
+product of the marginals' supports. `MeasurementScenario.is_event` says
+whether a value is a joint outcome of a context in time proportional to
+the context. So neither model validation nor any check enumerates an outcome carrier.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
@@ -206,13 +210,13 @@ def is_delta(d: Dist) -> Optional[Any]:
     return None
 
 
-def product_dist(d1: Dist, d2: Dist) -> Dist:
-    """Independent product on the pair carrier."""
+def product_dist(*dists: Dist) -> Dist:
+    """Independent product on the tuple carrier: ``product_dist(d1, d2)``
+    weighs the pair ``(x, y)`` by ``d1.weight(x) * d2.weight(y)``."""
     return Dist(
         {
-            (x, y): w1 * w2
-            for x, w1 in d1.items()
-            for y, w2 in d2.items()
+            tuple(x for x, _ in cell): math.prod(w for _, w in cell)
+            for cell in itertools.product(*(d.items() for d in dists))
         }
     )
 
@@ -289,7 +293,8 @@ class MeasurementScenario:
     Contexts are stored as sorted tuples and the cover is sorted, so equal
     scenarios compare equal regardless of the order they were written in.
     Outcome sets keep their declared order; it fixes enumeration order
-    everywhere downstream.
+    everywhere downstream. ``context_index`` maps each measurement to the
+    contexts holding it, in cover order.
     """
 
     measurements: tuple
@@ -322,6 +327,8 @@ class MeasurementScenario:
         object.__setattr__(self, "measurements", ms)
         object.__setattr__(self, "outcomes", outs)
         object.__setattr__(self, "cover", cover)
+        # Not a field: derived from the cover, so equality ignores it.
+        object.__setattr__(self, "context_index", {m: tuple(cs) for m, cs in by_measurement.items()})
 
     @staticmethod
     def make(outcomes: Mapping[Any, Sequence], cover: Iterable[Iterable]) -> "MeasurementScenario":
@@ -347,7 +354,10 @@ class MeasurementScenario:
         return [JointOutcome.of(ctx, combo) for combo in itertools.product(*pools)]
 
     def contexts_with(self, measurement: Any) -> tuple:
-        return tuple(c for c in self.cover if measurement in c)
+        """The contexts holding the measurement, in cover order; empty for
+        an undeclared one, since every declared measurement is in some
+        context."""
+        return self.context_index.get(measurement, ())
 
     def assignment_space_size(self) -> int:
         n = 1
@@ -399,18 +409,22 @@ class EmpiricalModel:
         return self.tables[tuple(_ordered(context))]
 
 
-def marginal_agreement(keys: Sequence, marginal) -> tuple:
-    """Compare ``marginal(k)`` for every key against that of ``keys[0]``.
+def first_disagreement(families: Mapping, marginal) -> Optional[tuple]:
+    """First key whose marginal differs exactly from that of its family's
+    first key.
 
-    Returns the base marginal and the first ``(key, marginal)`` pair that
-    differs from it exactly, or None in its place when all agree.
+    ``families`` maps each label to its keys, both in visiting order, and
+    ``marginal(label, key)`` computes one marginal. Returns
+    ``(label, key_a, key_b, marginal_a, marginal_b)`` with ``key_a`` the
+    family's first key, or None when every family agrees.
     """
-    base = marginal(keys[0])
-    for k in keys[1:]:
-        other = marginal(k)
-        if other != base:
-            return base, (k, other)
-    return base, None
+    for label, keys in families.items():
+        base = marginal(label, keys[0])
+        for k in keys[1:]:
+            other = marginal(label, k)
+            if other != base:
+                return label, keys[0], k, base, other
+    return None
 
 
 def product_mismatch(pools: Sequence[Sequence], marginals: Sequence[Dist], weight) -> Optional[tuple]:
@@ -441,12 +455,10 @@ def check_no_signalling(e: EmpiricalModel) -> Check:
     Comparisons are exact; the witness names the measurement, the two
     contexts, and both differing marginals.
     """
-    for m in e.scenario.measurements:
-        ctxs = e.scenario.contexts_with(m)
-        base, odd = marginal_agreement(ctxs, lambda ctx: marginalize(e.tables[ctx], (m,)))
-        if odd:
-            return Check(False, SignallingWitness(m, ctxs[0], odd[0], base, odd[1]))
-    return PASS
+    odd = first_disagreement(
+        e.scenario.context_index, lambda m, ctx: marginalize(e.tables[ctx], (m,))
+    )
+    return Check(False, SignallingWitness(*odd)) if odd else PASS
 
 
 def mix_empirical(components: Sequence[tuple[Fraction | int, EmpiricalModel]]) -> EmpiricalModel:

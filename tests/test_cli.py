@@ -18,6 +18,7 @@ from ontolab import (
     PreparationModel,
     PreparationScenario,
     Property,
+    check_no_signalling,
 )
 from ontolab.probcore import InternalError, JointOutcome
 from ontolab.cli.main import main
@@ -415,6 +416,20 @@ class TestZooCommand:
         assert code == 0
         table = parse_model_file(out).payload.table(("psi0", "psi1"))
         assert table.weight(("overlap", "outside")) == F(1, 3)
+
+    @pytest.mark.parametrize(
+        "args", [("prbox", "--q", "1/3"), ("hardy", "--max-denominator", "9")]
+    )
+    def test_export_refuses_a_knob_the_entry_does_not_take(self, cli, args):
+        code, out, err = cli("zoo", "export", *args)
+        assert code == 2
+        assert out == ""
+        assert "does not take" in err
+
+    def test_export_with_max_denominator(self, cli):
+        code, out, _ = cli("zoo", "export", "chsh-quantum", "--max-denominator", "100")
+        assert code == 0
+        assert check_no_signalling(parse_model_file(out).payload)
 
     def test_export_refuses_an_exponent_q(self, cli):
         code, _, err = cli("zoo", "export", "pbr-q", "--q", "1e-5000")

@@ -4,8 +4,18 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ontolab import InvariantViolation, PBRParams, pbr_counterexample
+from ontolab import (
+    EmpiricalModel,
+    InvariantViolation,
+    MeasurementScenario,
+    OntologicalModel,
+    PBRParams,
+    Property,
+    pbr_counterexample,
+)
 from ontolab.cli.modelio import (
     DemoConfig,
     FORMAT_VERSION,
@@ -20,6 +30,8 @@ from ontolab.cli.modelio import (
     serialize_model_file,
 )
 from ontolab.cli.zoo import fuzzy_coin_property, hardy_model, pr_box
+
+from test_prepscen import dists, preparation_models
 
 F = Fraction
 
@@ -71,6 +83,56 @@ class TestRoundTrip:
         assert mf.format_version == FORMAT_VERSION
         with pytest.raises(InvariantViolation):
             ModelFile("property", pr_box())
+
+
+# Comma-free labels that JSON and the comma-joined keys must carry intact.
+WIRE_LABELS = ("a", "b:c", "x y", "é")
+
+
+def names(max_size):
+    return st.lists(st.sampled_from(WIRE_LABELS), min_size=1, max_size=max_size, unique=True).map(tuple)
+
+
+@st.composite
+def scenarios(draw):
+    """The maximal ones among 1-3 drawn contexts, over the measurements
+    they use."""
+    drawn = draw(st.lists(st.frozensets(st.sampled_from(WIRE_LABELS), min_size=1, max_size=3), min_size=1, max_size=3))
+    cover = [sorted(c) for c in set(drawn) if not any(c < d for d in drawn)]
+    measurements = sorted(set().union(*cover))
+    return MeasurementScenario.make({m: draw(names(2)) for m in measurements}, cover)
+
+
+@st.composite
+def empirical_models(draw):
+    sc = draw(scenarios())
+    return EmpiricalModel(sc, {ctx: draw(dists(sc.events(ctx))) for ctx in sc.cover})
+
+
+@st.composite
+def ontological_models(draw):
+    sc, preps, states = draw(scenarios()), draw(names(2)), draw(names(3))
+    responses = {(lam, ctx): draw(dists(sc.events(ctx))) for lam in states for ctx in sc.cover}
+    return OntologicalModel(sc, preps, states, {p: draw(dists(states)) for p in preps}, responses)
+
+
+@st.composite
+def properties(draw):
+    states, values = draw(names(4)), draw(names(3))
+    return Property(states, values, {lam: draw(dists(values)) for lam in states})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        empirical_models(),
+        ontological_models(),
+        preparation_models(pool=WIRE_LABELS),
+        properties(),
+    )
+)
+def test_drawn_models_round_trip(payload):
+    assert roundtrip(payload) == payload
 
 
 class TestParseRational:

@@ -127,6 +127,19 @@ class TestChecks:
         assert not pi
         assert isinstance(pi.witness, PrepSignallingWitness)
 
+    def test_signalling_check_lists_joint_preparations_once(self, monkeypatch):
+        m = pbr_counterexample(PBRParams(F(1, 4)))
+        listed = []
+        original = PreparationScenario.joint_preparations
+
+        def counting(self):
+            listed.append(self)
+            return original(self)
+
+        monkeypatch.setattr(PreparationScenario, "joint_preparations", counting)
+        assert is_no_preparation_signalling(m)
+        assert len(listed) == 1
+
     def test_correlated_but_nonsignalling_fails_independence(self):
         sc = coin_sites()
         correlated = Dist({("0", "0"): F(1, 2), ("1", "1"): F(1, 2)})
@@ -250,7 +263,6 @@ class TestMeasurementTranslation:
 
 # Labels that collide when a site and a preparation are joined with ":".
 LABELS = ("a", "b", "a:b", "b:a")
-labels = st.lists(st.sampled_from(LABELS), min_size=1, max_size=2, unique=True).map(tuple)
 
 
 @st.composite
@@ -263,13 +275,17 @@ def dists(draw, elements):
 
 
 @st.composite
-def preparation_models(draw):
+def preparation_models(draw, sort=False, pool=LABELS):
     """Product, correlated (a mixture of two products over a shared
     variable: no preparation signalling, usually dependent) or arbitrary
-    (usually signalling) tables on 1-3 sites."""
-    sites = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=3, unique=True))
+    (usually signalling) tables on 1-3 sites, labelled from ``pool``. With
+    ``sort``, the sites and each site's preparations are declared in sorted
+    order."""
+    order = sorted if sort else list
+    labels = st.lists(st.sampled_from(pool), min_size=1, max_size=2, unique=True).map(tuple)
+    sites = order(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True)))
     sc = PreparationScenario(
-        tuple(sites), {s: draw(labels) for s in sites}, {s: draw(labels) for s in sites}
+        tuple(sites), {s: tuple(order(draw(labels))) for s in sites}, {s: draw(labels) for s in sites}
     )
     kind = draw(st.sampled_from(("product", "correlated", "signalling")))
     joint_states = sc.joint_states()
@@ -310,3 +326,59 @@ def test_translation_mirrors_preparation_verdicts(m):
     pi = bool(is_parameter_independent(h))
     assert bool(is_no_preparation_signalling(m)) == pi
     assert bool(is_preparation_independent(m)) == (pi and bool(factorizes(h)))
+
+
+def joint_preparation(m: PreparationModel, context: tuple) -> tuple:
+    """The joint preparation that a context of the translation stands for."""
+    choice = dict(context)
+    return tuple(choice[s] for s in m.scenario.sites)
+
+
+def as_outcomes(marginal: Dist) -> Dist:
+    """A single-measurement marginal of the translation, read as ontic states."""
+    return marginal.map_elements(lambda event: event.outcomes[0])
+
+
+def coin_model(table_of, sites=("left", "right"), preps=("h", "t")) -> PreparationModel:
+    sc = PreparationScenario(sites, {s: preps for s in sites}, {s: ("0", "1") for s in sites})
+    return PreparationModel(sc, {jp: table_of(jp) for jp in sc.joint_preparations()})
+
+
+def left_reads_right(jp):
+    """The first site's state is 1 exactly when the second site chose "h"."""
+    return Dist.delta(("1" if jp[1] == "h" else "0", "0"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(preparation_models(), preparation_models(sort=True)))
+@example(coin_model(left_reads_right))
+@example(coin_model(left_reads_right, ("right", "left"), ("t", "h")))
+@example(coin_model(lambda jp: Dist({("0", "0"): F(1, 2), ("1", "1"): F(1, 2)})))
+def test_translation_mirrors_preparation_witnesses(m):
+    """Each witness found on the translation names a real disagreement of
+    the preparation model. When the sites and every preparation list are
+    declared sorted, both sides visit in the same order, so the witnesses
+    are equal."""
+    sc = m.scenario
+    h = as_measurement_model(m)
+    in_order = all(list(xs) == sorted(xs) for xs in (sc.sites, *sc.preparations.values()))
+    nps, pi = is_no_preparation_signalling(m), is_parameter_independent(h)
+    if not pi:
+        w = pi.witness
+        site, prep = w.measurement
+        ja, jb = joint_preparation(m, w.context_a), joint_preparation(m, w.context_b)
+        assert ja[sc.site_index(site)] == jb[sc.site_index(site)] == prep
+        ma, mb = as_outcomes(w.marginal_a), as_outcomes(w.marginal_b)
+        assert ma == m.site_marginal(ja, site) != m.site_marginal(jb, site) == mb
+        if in_order:
+            assert nps.witness == PrepSignallingWitness(site, prep, ja, jb, ma, mb)
+        return
+    fac = factorizes(h)
+    if not fac:
+        w = fac.witness
+        jp = joint_preparation(m, w.context)
+        js = tuple(w.event.outcome(choice) for choice in zip(sc.sites, jp))
+        assert w.actual == m.table(jp).weight(js) != w.product
+        assert w.product == math.prod(m.site_marginal(jp, s).weight(lam) for s, lam in zip(sc.sites, js))
+        if in_order:
+            assert is_preparation_independent(m).witness == DependenceWitness(jp, js, w.actual, w.product)

@@ -286,6 +286,22 @@ class TestNoSignalling:
         # The witness names a real pair of contexts sharing the measurement.
         assert w.measurement in w.context_a and w.measurement in w.context_b
 
+    def test_check_reads_the_context_index_not_the_cover(self, bell):
+        """The families come from the index validation built: a cover that
+        cannot be iterated leaves verdict and witness unchanged."""
+
+        class Uniterable(tuple):
+            def __iter__(self):
+                raise AssertionError("cover iterated")
+
+        signalling = dict(pr_box().tables)
+        signalling[("a0", "b0")] = Dist.delta(JointOutcome.of(("a0", "b0"), ("0", "0")))
+        for e in (pr_box(), EmpiricalModel(bell, signalling)):
+            expected = check_no_signalling(e)
+            object.__setattr__(e.scenario, "cover", Uniterable(e.scenario.cover))
+            assert check_no_signalling(e) == expected
+        assert not expected
+
     def test_mix_empirical_preserves_no_signalling(self, rng):
         """Convexity: mixing no-signalling models stays no-signalling."""
         for _ in range(25):

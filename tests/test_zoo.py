@@ -26,7 +26,7 @@ from ontolab import (
     verify_certificate,
     verify_witness,
 )
-from ontolab.probcore import JointOutcome
+from ontolab.probcore import JointOutcome, OntolabError
 from ontolab.properties import Epistemic
 from ontolab.localdecide import LocalWitness, NonlocalityCertificate
 from ontolab.cli.modelio import (
@@ -178,6 +178,19 @@ class TestLoadModel:
         for ctx in coarse.scenario.cover:
             for event, w in coarse.tables[ctx].items():
                 assert abs(float(w) - float(fine.tables[ctx].weight(event))) < 1e-2
+
+    @pytest.mark.parametrize(
+        "name, knobs",
+        [
+            ("prbox", {"q": F(1, 3)}),
+            ("hardy", {"max_denominator": 9}),
+            ("pbr-q", {"max_denominator": 9}),
+            ("chsh-quantum", {"q": F(1, 3)}),
+        ],
+    )
+    def test_knobs_apply_only_to_their_entries(self, name, knobs):
+        with pytest.raises(OntolabError, match="does not take"):
+            load_model(name, **knobs)
 
     def test_override_dir_shadows_builtin(self, tmp_path, monkeypatch):
         from ontolab.cli.zoo import deterministic_box
