@@ -18,14 +18,22 @@ context and compare the sums with the tables, and `verify_certificate`
 re-evaluates the inequality by enumerating every outcome tuple of the
 measurements, with int coefficients keyed by outcome tuple, building no
 `JointOutcome` and with no reference to the simplex code path. No
-verifier lists the events of a context. The solver side has one equality
-builder (`_equality_system`, the only caller of
-`MeasurementScenario.events`; its 0/1 int rows also give the certificate's
-local bound), run once per `decide_local` and once per
-`quasi_local_decomposition`, and one integer Gauss-Jordan step (`_pivot`,
-shared by the simplex and the unrestricted solve); the verifiers call
-neither. A broken solver invariant raises `InternalError`, never an input
-error.
+verifier lists the events of a context.
+
+The solver side works on assignment indices: assignment k is the
+mixed-radix number over the measurements, each outcome's digit its index
+in the declared outcome tuple, the last measurement changing fastest
+(`_digit_lists`, which also orders `global_assignments`). It has one
+equality builder (`_equality_system`, the only caller of
+`MeasurementScenario.events`), run once per `decide_local` and once per
+`quasi_local_decomposition`: per context it folds the digit lists into
+the index of each assignment's event, which places the 0/1 int rows and
+gives the certificate's local bound. It builds a `JointOutcome` only for
+the context events, and `decide_local` and `quasi_local_decomposition`
+only for the support of a witness or of signed weights. One integer
+Gauss-Jordan step (`_pivot`) is shared by the simplex and the
+unrestricted solve; the verifiers call neither. A broken solver invariant
+raises `InternalError`, never an input error.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Any, Mapping, Optional, Sequence, Union
 
 from .probcore import (
@@ -128,13 +137,11 @@ def lp_feasibility(rows: Sequence[Sequence], rhs: Sequence) -> Union[Feasible, I
     basis = [n + i for i in range(m)]
     # Reduced costs for min sum-of-artificials with the artificial basis,
     # carried as the last tableau row; its last entry is minus the
-    # current objective value.
+    # current objective value. The artificial columns cancel to zero; the
+    # others are column sums of the sign-flipped integer rows.
     unit = lcm(*scale)
-    zrow = [0] * n + [unit] * m + [0]
-    for d, r in zip(scale, tableau):
-        w = unit // d
-        zrow = [z - w * v for z, v in zip(zrow, r)]
-    tableau.append(zrow)
+    cost = _column_sums(orig, [s * (unit // d) for s, d in zip(sign, scale)])
+    tableau.append([-v for v in cost[:n]] + [0] * m + [-cost[-1]])
     dens.append(unit)
 
     while True:
@@ -173,13 +180,17 @@ def lp_feasibility(rows: Sequence[Sequence], rhs: Sequence) -> Union[Feasible, I
     # The Farkas conditions are cheap to confirm and guard the whole module.
     # They are checked in integers: w_i = y_i * zden * unit / scale_i is a
     # positive rescaling of y_i / scale_i, the weight of integer row i.
-    w = [v * (unit // d) for v, d in zip(ynum, scale)]
-    for j in range(n):
-        if sum(wi * r[j] for wi, r in zip(w, orig) if r[j]) > 0:
-            raise InternalError("Farkas vector fails yA <= 0")
-    if sum(wi * r[n] for wi, r in zip(w, orig)) <= 0:
+    combined = _column_sums(orig, [v * (unit // d) for v, d in zip(ynum, scale)])
+    if any(v > 0 for v in combined[:n]):
+        raise InternalError("Farkas vector fails yA <= 0")
+    if combined[n] <= 0:
         raise InternalError("Farkas vector fails y.b > 0")
     return Infeasible(y)
+
+
+def _column_sums(rows: Sequence[Sequence], weights: Sequence) -> list:
+    """The weighted sum of the rows, one column at a time."""
+    return [sum(map(mul, col, weights)) for col in zip(*rows)]
 
 
 def _integer_rows(rows: Sequence[Sequence], rhs: Sequence) -> tuple:
@@ -192,7 +203,7 @@ def _integer_rows(rows: Sequence[Sequence], rhs: Sequence) -> tuple:
         if not set(map(type, r)) - {int}:
             b = b if isinstance(b, (int, Fraction)) else Fraction(b)
             d = b.denominator
-            out.append([v * d for v in r] + [b.numerator])
+            out.append([*r, b.numerator] if d == 1 else [v * d for v in r] + [b.numerator])
         else:
             vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in (*r, b)]
             d = lcm(*(v.denominator for v in vals))
@@ -207,9 +218,11 @@ def _pivot(rows: list, dens: list, r: int, col: int) -> None:
 
     Row r is scaled to a unit entry at col (its denominator becomes the
     pivot). Every other row with a nonzero f at col becomes
-    row*p - f*prow over den*p (p the pivot), which clears col, then is
-    divided by the gcd of its entries and denominator; rows with a zero at
-    col are left alone.
+    row*(p/g) - (f/g)*prow over den*(p/g), with p the pivot and
+    g = gcd(f, p), which clears col, then is divided by the gcd of its
+    entries and denominator: the one integer form of that rational row with
+    coprime entries and a positive denominator, whatever factor the update
+    carried. Rows with a zero at col are left alone.
     """
     prow = rows[r]
     p = prow[col]
@@ -227,10 +240,12 @@ def _pivot(rows: list, dens: list, r: int, col: int) -> None:
         f = row[col]
         if i == r or not f:
             continue
-        new = [a * p for a in row] if p != 1 else list(row)
+        g = gcd(f, p)
+        q, f = p // g, f // g
+        new = [a * q for a in row] if q != 1 else list(row)
         for j, v in nz:
             new[j] -= f * v
-        d = dens[i] * p
+        d = dens[i] * q
         g = gcd(d, *new)
         if g > 1:
             new = [a // g for a in new]
@@ -239,14 +254,43 @@ def _pivot(rows: list, dens: list, r: int, col: int) -> None:
         dens[i] = d
 
 
-def global_assignments(scenario: MeasurementScenario, cap: int = DEFAULT_ASSIGNMENT_CAP) -> list:
-    """Every total outcome assignment, lexicographic in measurement order."""
+def _digit_lists(scenario: MeasurementScenario, cap: int) -> list:
+    """One list per measurement, in measurement order: entry k is the index,
+    in the measurement's declared outcome tuple, of its outcome in
+    assignment k. Assignment k is the mixed-radix number over the
+    measurements, the last changing fastest, which is the order of
+    `itertools.product` over the outcome tuples. Refuses a space larger
+    than the cap before listing anything."""
     size = scenario.assignment_space_size()
     if size > cap:
         raise TooManyAssignments(f"{size} global assignments exceed the cap of {cap}")
+    digits = []
+    stride = size
+    for m in scenario.measurements:
+        radix = len(scenario.outcomes[m])
+        stride //= radix
+        digits.append([d for d in range(radix) for _ in range(stride)] * (size // (stride * radix)))
+    return digits
+
+
+def _assignments(scenario: MeasurementScenario, digits: list, indices) -> list:
+    """The total assignments at the given indices, as `JointOutcome`s."""
     ms = scenario.measurements
     pools = [scenario.outcomes[m] for m in ms]
-    return [JointOutcome.of(ms, combo) for combo in itertools.product(*pools)]
+    return [JointOutcome.of(ms, [pool[ds[k]] for pool, ds in zip(pools, digits)]) for k in indices]
+
+
+def _nonzero_weights(scenario: MeasurementScenario, digits: list, x: Sequence) -> dict:
+    """The nonzero entries of a vector over assignment indices, keyed by
+    assignment."""
+    support = [k for k, w in enumerate(x) if w != 0]
+    return dict(zip(_assignments(scenario, digits, support), (x[k] for k in support)))
+
+
+def global_assignments(scenario: MeasurementScenario, cap: int = DEFAULT_ASSIGNMENT_CAP) -> list:
+    """Every total outcome assignment, lexicographic in measurement order."""
+    digits = _digit_lists(scenario, cap)
+    return _assignments(scenario, digits, range(len(digits[0])))
 
 
 @dataclass(frozen=True)
@@ -316,36 +360,42 @@ def _reproduces_tables(e: EmpiricalModel, weights: Mapping[JointOutcome, Fractio
     return True
 
 
-def _equality_system(e: EmpiricalModel, assignments: list) -> tuple:
-    """Rows, right-hand sides and row events of the local-polytope system
-    over the given total assignments: one 0/1 int row per context event, in
-    cover and event order, then the normalization row (event None).
+def _equality_system(e: EmpiricalModel, digits: list) -> tuple:
+    """Rows, right-hand sides, row events and event indices of the
+    local-polytope system over the assignments of `_digit_lists`: one 0/1
+    int row per context event, in cover and event order, then the
+    normalization row (event None).
 
-    Each assignment is restricted once per context and marks its event's
-    row. Every total assignment lists its pairs in the same sorted order,
-    so the restriction is the pairs at the context's positions, which is
-    exactly the `pairs` of `omega.restrict(ctx)`.
+    For each context, ``hit[k]`` is the index of assignment k's restriction
+    in ``scenario.events(ctx)``, folded from the digit lists of the
+    context's measurements in context order; assignment k marks that row.
+    The last item lists ``(rows, hit)`` per context, in cover order, with
+    ``rows`` the range of the context's row indices.
     """
+    sc = e.scenario
+    digits_of = dict(zip(sc.measurements, digits))
+    n = len(digits[0])
     rows = []
     rhs = []
     row_events = []
-    n = len(assignments)
-    position = {m: i for i, (m, _) in enumerate(assignments[0].pairs)}
-    for ctx in e.scenario.cover:
-        table = e.tables[ctx]
-        index = {}
-        for event in e.scenario.events(ctx):
-            index[event.pairs] = len(rows)
-            rows.append([0] * n)
-            rhs.append(table.weight(event))
-            row_events.append(event)
-        at = sorted(position[m] for m in ctx)
-        for k, omega in enumerate(assignments):
-            rows[index[tuple(map(omega.pairs.__getitem__, at))]][k] = 1
+    hits = []
+    for ctx in sc.cover:
+        hit = digits_of[ctx[0]]
+        for m in ctx[1:]:
+            radix = len(sc.outcomes[m])
+            hit = [h * radix + d for h, d in zip(hit, digits_of[m])]
+        events = sc.events(ctx)
+        block = [[0] * n for _ in events]
+        for k, h in enumerate(hit):
+            block[h][k] = 1
+        hits.append((range(len(rows), len(rows) + len(events)), hit))
+        rows += block
+        rhs += map(e.tables[ctx].weight, events)
+        row_events += events
     rows.append([1] * n)
     rhs.append(Fraction(1))
     row_events.append(None)
-    return rows, rhs, row_events
+    return rows, rhs, row_events, hits
 
 
 def decide_local(
@@ -357,14 +407,13 @@ def decide_local(
     equality per context event plus normalization. The Farkas vector of an
     infeasible system becomes the certificate's coefficients, brought to
     coprime integers; its bound is the largest value of the inequality over
-    the assignments, read off the 0/1 incidence rows.
+    the assignments, summed per context through the event indices.
     """
-    assignments = global_assignments(e.scenario, cap)
-    rows, rhs, row_events = _equality_system(e, assignments)
+    digits = _digit_lists(e.scenario, cap)
+    rows, rhs, row_events, hits = _equality_system(e, digits)
     result = lp_feasibility(rows, rhs)
     if isinstance(result, Feasible):
-        weights = {omega: w for omega, w in zip(assignments, result.x) if w != 0}
-        return LocalWitness(Dist(weights))
+        return LocalWitness(Dist(_nonzero_weights(e.scenario, digits, result.x)))
 
     coeffs = {
         i: yi
@@ -378,14 +427,13 @@ def decide_local(
     numer = gcd(*(c.numerator for c in coeffs.values()))
     coeffs = {i: c.numerator * (denom // c.denominator) // numer for i, c in coeffs.items()}
 
-    # An assignment's value is the sum of the coefficients of the rows it marks.
-    values = [0] * len(assignments)
-    for i, c in coeffs.items():
-        values = [v + c if hit else v for v, hit in zip(values, rows[i])]
-    model_value = sum(
-        (c * e.table(row_events[i].context).weight(row_events[i]) for i, c in coeffs.items()),
-        Fraction(0),
-    )
+    # An assignment's value sums, over contexts, the coefficient of its event.
+    values = [0] * len(digits[0])
+    for span, hit in hits:
+        cs = [coeffs.get(i, 0) for i in span]
+        if any(cs):
+            values = [v + cs[h] for v, h in zip(values, hit)]
+    model_value = sum((c * rhs[i] for i, c in coeffs.items()), Fraction(0))
     return NonlocalityCertificate(
         {row_events[i]: Fraction(c) for i, c in coeffs.items()}, model_value, Fraction(max(values))
     )
@@ -475,13 +523,13 @@ def quasi_local_decomposition(
     ns = check_no_signalling(e)
     if not ns:
         raise Signalling(ns.witness)
-    assignments = global_assignments(e.scenario, cap)
-    rows, rhs, _ = _equality_system(e, assignments)
+    digits = _digit_lists(e.scenario, cap)
+    rows, rhs, _, _ = _equality_system(e, digits)
     result = lp_feasibility(rows, rhs)
     solution = result.x if isinstance(result, Feasible) else _solve_linear(rows, rhs)
     if solution is None:
         raise InternalError("no signed decomposition for a no-signalling model")
-    return SignedWeights({omega: w for omega, w in zip(assignments, solution) if w != 0})
+    return SignedWeights(_nonzero_weights(e.scenario, digits, solution))
 
 
 def verify_signed_weights(e: EmpiricalModel, sw: SignedWeights) -> bool:

@@ -318,12 +318,16 @@ class MeasurementScenario:
         idle = [m for m in ms if not by_measurement[m]]
         if idle:
             raise InvariantViolation(f"measurements {idle} appear in no context")
-        # A context strictly inside another shares its first measurement.
+        # A context strictly inside another shares its first measurement and
+        # is shorter, so each context is compared only with the longer ones
+        # holding its first measurement, visited longest first.
+        longest_first = {m: sorted(cs, key=len, reverse=True) for m, cs in by_measurement.items()}
         for c1 in cover:
-            s1 = set(c1)
-            for c2 in by_measurement[c1[0]]:
-                if len(c2) > len(s1) and s1.issubset(c2):
-                    raise InvariantViolation(f"context {c1} is strictly contained in {c2}")
+            longer = itertools.takewhile(lambda c2: len(c2) > len(c1), longest_first[c1[0]])
+            outer = [c2 for c2 in longer if set(c1).issubset(c2)]
+            if outer:
+                first = min(outer, key=cover.index)
+                raise InvariantViolation(f"context {c1} is strictly contained in {first}")
         object.__setattr__(self, "measurements", ms)
         object.__setattr__(self, "outcomes", outs)
         object.__setattr__(self, "cover", cover)
@@ -452,13 +456,26 @@ def product_mismatch(pools: Sequence[Sequence], marginals: Sequence[Dist], weigh
 def check_no_signalling(e: EmpiricalModel) -> Check:
     """Marginals of each measurement must agree across every context containing it.
 
-    Comparisons are exact; the witness names the measurement, the two
-    contexts, and both differing marginals.
+    Comparisons are exact. Each marginal is compared as a plain
+    ``{outcome: weight}`` map, summed from the outcome at the measurement's
+    position in the table's events; only the witness, which names the
+    measurement, the two contexts, and both differing marginals, holds
+    `marginalize`'s distributions.
     """
-    odd = first_disagreement(
-        e.scenario.context_index, lambda m, ctx: marginalize(e.tables[ctx], (m,))
-    )
-    return Check(False, SignallingWitness(*odd)) if odd else PASS
+
+    def marginal(m, ctx):
+        at = ctx.index(m)
+        out: dict = {}
+        for ev, w in e.tables[ctx].weights.items():
+            o = ev.pairs[at][1]
+            out[o] = out.get(o, 0) + w
+        return out
+
+    odd = first_disagreement(e.scenario.context_index, marginal)
+    if not odd:
+        return PASS
+    m, a, b = odd[:3]
+    return Check(False, SignallingWitness(m, a, b, marginalize(e.tables[a], (m,)), marginalize(e.tables[b], (m,))))
 
 
 def mix_empirical(components: Sequence[tuple[Fraction | int, EmpiricalModel]]) -> EmpiricalModel:

@@ -1,5 +1,6 @@
 """Distribution substrate: exactness, event spaces, no-signalling."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -219,6 +220,31 @@ def test_containment_reports_the_first_contained_pair(contexts):
         with pytest.raises(InvariantViolation) as e:
             MeasurementScenario.make(outcomes, contexts)
         assert str(e.value) == f"context {expected[0]} is strictly contained in {expected[1]}"
+
+
+@pytest.mark.parametrize("widest", [(), (("d", "e", "f", "g"),)])
+@pytest.mark.parametrize("inner", [("a", "b"), ("a", "c"), ("b", "c"), ("c",)])
+def test_a_contained_context_is_refused_wherever_it_starts(inner, widest):
+    """The inner context's first measurement sits at position 0, 1 or 2 of
+    its container; with a wider context in the cover, the container is not
+    of the greatest length either."""
+    cover = [("a", "b", "c"), inner, *widest]
+    outcomes = {m: ("0", "1") for c in cover for m in c}
+    with pytest.raises(InvariantViolation) as e:
+        MeasurementScenario.make(outcomes, cover)
+    assert str(e.value) == f"context {inner} is strictly contained in ('a', 'b', 'c')"
+
+
+def test_many_contexts_of_one_length_build():
+    """Twelve sites with two binary measurements each, and one context per
+    choice of a measurement at every site: 4096 contexts of 12
+    measurements, each measurement in 2048 of them."""
+    outcomes = {f"s{i:02}p{p}": ("0", "1") for i in range(12) for p in range(2)}
+    cover = [tuple(f"s{i:02}p{p}" for i, p in enumerate(ps)) for ps in itertools.product(range(2), repeat=12)]
+    sc = MeasurementScenario.make(outcomes, cover)
+    assert len(sc.cover) == 4096
+    assert {len(sc.contexts_with(m)) for m in outcomes} == {2048}
+    assert MeasurementScenario(sc.measurements, sc.outcomes, sc.cover) == sc
 
 
 class TestShapeRules:
