@@ -17,9 +17,16 @@ reports, and `zoo` prints its own output and returns its exit code;
 `main` emits only when the command returns None.
 
 `timed` is the one clock and `Report.check` the one place where a `Check`
-result becomes a verdict. `demo` imports `ontolab.quantum` only when it
-runs, so the exact subcommands do not pay for importing the float layer;
-the demos render their own float objects.
+result becomes a verdict.
+
+At import this module loads only `probcore` and `modelio`. A command
+reaches every other layer through the lazy package (`ol.decide_local`),
+which imports the layer on first use and reads the name from it on each
+call, so a patched or wrapped function is the one called. `zoo` loads only
+for `zoo:` specs, `zoo` and `demo chsh`, and the float layer `quantum`
+only for `demo`; the demos render their own float objects. Artifacts render through one table, `RENDER`, keyed by the
+qualified name of their type, so rendering imports nothing: a layer that
+was never loaded cannot have made an artifact.
 """
 
 from __future__ import annotations
@@ -31,7 +38,9 @@ import time
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, Optional
+
+import ontolab as ol
 
 from ..probcore import (
     Check,
@@ -42,37 +51,6 @@ from ..probcore import (
     OntolabError,
     check_no_signalling,
 )
-from ..properties import Epistemic, Ontic, bayes_invert, classify, hs_equivalence, supports_overlap
-from ..ontomodel import (
-    CanonicalLocalModel,
-    ONTIC,
-    OntologicalModel,
-    canonicalize,
-    factorizes,
-    is_deterministic,
-    is_local,
-    is_parameter_independent,
-    onticity_report,
-    operational_probabilities,
-)
-from ..localdecide import (
-    DEFAULT_ASSIGNMENT_CAP,
-    LocalWitness,
-    NonlocalityCertificate,
-    decide_local,
-    verify_certificate,
-    verify_witness,
-)
-from ..prepscen import (
-    OVERLAP,
-    PBRParams,
-    PreparationModel,
-    is_no_preparation_signalling,
-    is_preparation_independent,
-    overlap_event_probability,
-    pbr_counterexample,
-)
-from . import zoo
 from .modelio import (
     ENCODERS,
     ModelFile,
@@ -80,8 +58,8 @@ from .modelio import (
     parse_rational,
     rational_to_str,
     serialize_model_file,
+    type_name,
 )
-from ..properties import Property
 
 
 # ---------------------------------------------------------------- reports
@@ -158,8 +136,100 @@ def dist_text(d: Dist) -> str:
     return "{" + ", ".join(parts) + "}"
 
 
-def _weight_lines(title: str, weights: Mapping) -> list:
-    return [title] + [f"  {assignment_text(omega)}  ->  {frac(w)}" for omega, w in weights.items()]
+def _weights_text(title: str, weights: Mapping) -> str:
+    return "\n".join([title] + [f"  {assignment_text(omega)}  ->  {frac(w)}" for omega, w in weights.items()])
+
+
+def _dist_json(d: Dist) -> dict:
+    items = list(d.items())
+    if items and isinstance(items[0][0], JointOutcome):
+        table = {",".join(ev.outcomes): rational_to_str(w) for ev, w in items}
+        return {"context": list(items[0][0].context), "table": table}
+    return {str(x): rational_to_str(w) for x, w in items}
+
+
+def _certificate_text(c) -> str:
+    lines = ["violated inequality (sum of coefficient * probability):"]
+    lines += [f"  {frac(v):>6} * P{event_text(ev)}" for ev, v in c.coefficients.items()]
+    lines.append(f"model value {frac(c.model_value)} exceeds the local bound {frac(c.local_bound)}")
+    return "\n".join(lines)
+
+
+def _certificate_json(c) -> dict:
+    return {
+        "coefficients": [
+            {"context": list(ev.context), "event": ",".join(ev.outcomes), "coefficient": rational_to_str(v)}
+            for ev, v in c.coefficients.items()
+        ],
+        "model_value": rational_to_str(c.model_value),
+        "local_bound": rational_to_str(c.local_bound),
+    }
+
+
+def _preparation_text(m) -> str:
+    lines = []
+    for jp in m.scenario.joint_preparations():
+        lines.append(f"joint preparation ({', '.join(jp)}):")
+        table = m.table(jp)
+        lines += [f"  ({', '.join(js)}): {frac(table.weight(tuple(js)))}" for js in m.scenario.joint_states()]
+    return "\n".join(lines)
+
+
+# Artifact type's qualified name -> (text, json, validate stats); None
+# where the generic form serves. The JSON of a model type is its wire
+# encoding, `modelio.ENCODERS`.
+RENDER = {
+    "ontolab.probcore.Dist": (None, _dist_json, None),
+    "ontolab.probcore.JointOutcome": (
+        None,
+        lambda ev: {"context": list(ev.context), "outcomes": list(ev.outcomes)},
+        None,
+    ),
+    "ontolab.localdecide.LocalWitness": (
+        lambda w: _weights_text("weights over global assignments:", w.dist.weights),
+        lambda w: {"weights": jsonable(w.dist)},
+        None,
+    ),
+    "ontolab.localdecide.NonlocalityCertificate": (_certificate_text, _certificate_json, None),
+    "ontolab.ontomodel.CanonicalLocalModel": (
+        lambda c: "\n".join(_weights_text(f"preparation {p}:", d.weights) for p, d in c.weights.items()),
+        None,
+        None,
+    ),
+    "ontolab.properties.Ontic": (
+        lambda c: "every state fixes a value: " + ", ".join(f"{lam} -> {v}" for lam, v in c.assignment.items()),
+        None,
+        None,
+    ),
+    "ontolab.properties.Epistemic": (
+        lambda c: f"state {c.state} is compatible with both {c.value_a!r} and {c.value_b!r}",
+        None,
+        None,
+    ),
+    "ontolab.prepscen.PreparationModel": (
+        _preparation_text,
+        None,
+        lambda m: f"{len(m.scenario.sites)} sites, {len(m.tables)} joint preparations",
+    ),
+    "ontolab.probcore.EmpiricalModel": (
+        None,
+        None,
+        lambda e: f"{len(e.scenario.measurements)} measurements, {len(e.scenario.cover)} contexts",
+    ),
+    "ontolab.ontomodel.OntologicalModel": (
+        None,
+        None,
+        lambda h: f"{len(h.ontic_space)} ontic states, {len(h.preparations)} preparations, "
+        f"{len(h.scenario.cover)} contexts",
+    ),
+    "ontolab.properties.Property": (
+        None,
+        None,
+        lambda p: f"{len(p.ontic_space)} ontic states, {len(p.values)} values",
+    ),
+    "ontolab.cli.modelio.DemoConfig": (None, None, lambda c: f"demo {c.demo}"),
+}
+_GENERIC = (None, None, None)
 
 
 def describe(obj) -> str:
@@ -167,54 +237,19 @@ def describe(obj) -> str:
     exact rationals. Possibly multi-line."""
     if obj is None:
         return ""
-    if isinstance(obj, LocalWitness):
-        return "\n".join(_weight_lines("weights over global assignments:", obj.dist.weights))
-    if isinstance(obj, NonlocalityCertificate):
-        lines = ["violated inequality (sum of coefficient * probability):"]
-        for ev, c in obj.coefficients.items():
-            lines.append(f"  {frac(c):>6} * P{event_text(ev)}")
-        lines.append(
-            f"model value {frac(obj.model_value)} exceeds the local bound {frac(obj.local_bound)}"
-        )
-        return "\n".join(lines)
-    if isinstance(obj, CanonicalLocalModel):
-        lines = []
-        for p, d in obj.weights.items():
-            lines += _weight_lines(f"preparation {p}:", d.weights)
-        return "\n".join(lines)
-    if isinstance(obj, PreparationModel):
-        lines = []
-        for jp in obj.scenario.joint_preparations():
-            lines.append(f"joint preparation ({', '.join(jp)}):")
-            table = obj.table(jp)
-            for js in obj.scenario.joint_states():
-                lines.append(f"  ({', '.join(js)}): {frac(table.weight(tuple(js)))}")
-        return "\n".join(lines)
-    if isinstance(obj, Ontic):
-        cells = ", ".join(f"{lam} -> {v}" for lam, v in obj.assignment.items())
-        return f"every state fixes a value: {cells}"
-    if isinstance(obj, Epistemic):
-        return (
-            f"state {obj.state} is compatible with both "
-            f"{obj.value_a!r} and {obj.value_b!r}"
-        )
+    render = RENDER.get(type_name(obj), _GENERIC)[0]
+    if render is not None:
+        return render(obj)
     if is_dataclass(obj):
-        parts = []
-        for f in fields(obj):
-            val = getattr(obj, f.name)
-            if isinstance(val, Dist):
-                text = dist_text(val)
-            elif isinstance(val, JointOutcome):
-                text = event_text(val)
-            elif isinstance(val, Fraction):
-                text = frac(val)
-            elif isinstance(val, tuple):
-                text = _ctx_text(val)
-            else:
-                text = str(val)
-            parts.append(f"{f.name} {text}")
-        return ", ".join(parts)
+        return ", ".join(f"{f.name} {_field_text(getattr(obj, f.name))}" for f in fields(obj))
     return str(obj)
+
+
+def _field_text(val) -> str:
+    for typ, text in ((Dist, dist_text), (JointOutcome, event_text), (Fraction, frac), (tuple, _ctx_text)):
+        if isinstance(val, typ):
+            return text(val)
+    return str(val)
 
 
 def jsonable(obj):
@@ -224,34 +259,10 @@ def jsonable(obj):
         return obj
     if isinstance(obj, Fraction):
         return rational_to_str(obj)
-    if isinstance(obj, JointOutcome):
-        return {"context": list(obj.context), "outcomes": list(obj.outcomes)}
-    if isinstance(obj, Dist):
-        items = list(obj.items())
-        if items and isinstance(items[0][0], JointOutcome):
-            ctx = items[0][0].context
-            return {
-                "context": list(ctx),
-                "table": {",".join(ev.outcomes): rational_to_str(w) for ev, w in items},
-            }
-        return {str(x): rational_to_str(w) for x, w in items}
-    if type(obj) in ENCODERS:
-        return ENCODERS[type(obj)](obj)
-    if isinstance(obj, NonlocalityCertificate):
-        return {
-            "coefficients": [
-                {
-                    "context": list(ev.context),
-                    "event": ",".join(ev.outcomes),
-                    "coefficient": rational_to_str(c),
-                }
-                for ev, c in obj.coefficients.items()
-            ],
-            "model_value": rational_to_str(obj.model_value),
-            "local_bound": rational_to_str(obj.local_bound),
-        }
-    if isinstance(obj, LocalWitness):
-        return {"weights": jsonable(obj.dist)}
+    name = type_name(obj)
+    encode = ENCODERS.get(name) or RENDER.get(name, _GENERIC)[1]
+    if encode is not None:
+        return encode(obj)
     if is_dataclass(obj):
         return {f.name: jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, Mapping):
@@ -302,6 +313,8 @@ def emit(report: Report, args) -> int:
 
 def _load(spec_arg: str) -> ModelFile:
     if spec_arg.startswith("zoo:"):
+        from . import zoo
+
         return zoo.load_model(spec_arg[len("zoo:"):])
     try:
         data = Path(spec_arg).read_bytes()
@@ -315,24 +328,7 @@ def _load(spec_arg: str) -> ModelFile:
 
 def cmd_validate(report: Report, _, args) -> None:
     mf, ms = timed(_load, args.model)
-    payload = mf.payload
-    if isinstance(payload, EmpiricalModel):
-        stats = (
-            f"{len(payload.scenario.measurements)} measurements, "
-            f"{len(payload.scenario.cover)} contexts"
-        )
-    elif isinstance(payload, OntologicalModel):
-        stats = (
-            f"{len(payload.ontic_space)} ontic states, "
-            f"{len(payload.preparations)} preparations, "
-            f"{len(payload.scenario.cover)} contexts"
-        )
-    elif isinstance(payload, PreparationModel):
-        stats = f"{len(payload.scenario.sites)} sites, {len(payload.tables)} joint preparations"
-    elif isinstance(payload, Property):
-        stats = f"{len(payload.ontic_space)} ontic states, {len(payload.values)} values"
-    else:
-        stats = f"demo {payload.demo}"
+    stats = RENDER[type_name(mf.payload)][2](mf.payload)
     report.add("model", "valid", True, ms, detail=f"kind {mf.kind}: {stats}")
 
 
@@ -340,11 +336,11 @@ def cmd_check_ns(report: Report, e: EmpiricalModel, args) -> None:
     report.check("no-signalling", check_no_signalling, e)
 
 
-def _decision(report: Report, e: EmpiricalModel, cap: int):
-    """Decide locality and record the decision verdict; returns the result
-    and whether it is local."""
-    result, ms = timed(decide_local, e, cap)
-    local = isinstance(result, LocalWitness)
+def _decision(report: Report, e: EmpiricalModel, cap: Optional[int]):
+    """Decide locality under `cap` (None for the default) and record the
+    decision verdict; returns the result and whether it is local."""
+    result, ms = timed(ol.decide_local, e, ol.DEFAULT_ASSIGNMENT_CAP if cap is None else cap)
+    local = isinstance(result, ol.LocalWitness)
     report.add(
         "decision",
         "local" if local else "non-local",
@@ -360,7 +356,8 @@ def _decision(report: Report, e: EmpiricalModel, cap: int):
 def cmd_decide_local(report: Report, e: EmpiricalModel, args) -> None:
     report.check("no-signalling", check_no_signalling, e)
     result, local = _decision(report, e, args.cap)
-    verified, ms = timed(verify_witness if local else verify_certificate, e, result)
+    verify = ol.verify_witness if local else ol.verify_certificate
+    verified, ms = timed(verify, e, result)
     report.add(
         "verification",
         "pass" if verified else "fail",
@@ -370,9 +367,9 @@ def cmd_decide_local(report: Report, e: EmpiricalModel, args) -> None:
     )
 
 
-def cmd_classify_property(report: Report, p: Property, args) -> None:
-    c, ms = timed(classify, p)
-    ontic = isinstance(c, Ontic)
+def cmd_classify_property(report: Report, p: ol.Property, args) -> None:
+    c, ms = timed(ol.classify, p)
+    ontic = isinstance(c, ol.Ontic)
     report.add(
         "classification",
         "ontic" if ontic else "epistemic",
@@ -382,7 +379,9 @@ def cmd_classify_property(report: Report, p: Property, args) -> None:
         artifact=c,
     )
 
-    (agree, overlap), ms = timed(lambda: (hs_equivalence(p), supports_overlap(bayes_invert(p))))
+    (agree, overlap), ms = timed(
+        lambda: (ol.hs_equivalence(p), ol.supports_overlap(ol.bayes_invert(p)))
+    )
     if overlap is None:
         overlap_text = "posterior supports are pairwise disjoint"
     else:
@@ -397,16 +396,16 @@ def cmd_classify_property(report: Report, p: Property, args) -> None:
     )
 
 
-def cmd_onto_report(report: Report, h: OntologicalModel, args) -> None:
+def cmd_onto_report(report: Report, h: ol.OntologicalModel, args) -> None:
     for name, checker in (
-        ("deterministic", is_deterministic),
-        ("parameter-independence", is_parameter_independent),
-        ("factorization", factorizes),
-        ("local", is_local),
+        ("deterministic", ol.is_deterministic),
+        ("parameter-independence", ol.is_parameter_independent),
+        ("factorization", ol.factorizes),
+        ("local", ol.is_local),
     ):
         report.check(name, checker, h)
 
-    status, ms = timed(onticity_report, h)
+    status, ms = timed(ol.onticity_report, h)
     counts: dict = {}
     for s in status.values():
         counts[s] = counts.get(s, 0) + 1
@@ -414,24 +413,24 @@ def cmd_onto_report(report: Report, h: OntologicalModel, args) -> None:
     report.add(
         "property-status",
         summary,
-        all(s == ONTIC for s in status.values()),
+        all(s == ol.ONTIC for s in status.values()),
         ms,
         detail="\n".join(f"{m}: {s}" for m, s in status.items()),
         artifact=status,
     )
 
 
-def cmd_canonicalize(report: Report, h: OntologicalModel, args) -> None:
-    if not report.check("local", is_local, h):
+def cmd_canonicalize(report: Report, h: ol.OntologicalModel, args) -> None:
+    if not report.check("local", ol.is_local, h):
         return
 
-    c, ms = timed(canonicalize, h)
+    c, ms = timed(ol.canonicalize, h)
     report.add("canonical-form", "emitted", True, ms, detail=describe(c), artifact=c)
 
     def preserved() -> bool:
         back = c.as_ontological_model()
         return all(
-            operational_probabilities(h, p) == operational_probabilities(back, p)
+            ol.operational_probabilities(h, p) == ol.operational_probabilities(back, p)
             for p in h.preparations
         )
 
@@ -447,22 +446,22 @@ def cmd_canonicalize(report: Report, h: OntologicalModel, args) -> None:
     )
 
 
-def cmd_prep_check(report: Report, m: PreparationModel, args) -> None:
+def cmd_prep_check(report: Report, m: ol.PreparationModel, args) -> None:
     for name, checker in (
-        ("no-preparation-signalling", is_no_preparation_signalling),
-        ("preparation-independence", is_preparation_independent),
+        ("no-preparation-signalling", ol.is_no_preparation_signalling),
+        ("preparation-independence", ol.is_preparation_independent),
     ):
         report.check(name, checker, m)
 
 
 def cmd_pbr(report: Report, _, args) -> None:
     q = parse_rational(args.q, "--q")
-    m, ms = timed(lambda: pbr_counterexample(PBRParams(q)))
+    m, ms = timed(lambda: ol.pbr_counterexample(ol.PBRParams(q)))
     report.add("model-tables", "emitted", True, ms, detail=describe(m), artifact=m)
     cmd_prep_check(report, m, args)
 
     probs, ms = timed(
-        overlap_event_probability, m, {site: (OVERLAP,) for site in m.scenario.sites}
+        ol.overlap_event_probability, m, {site: (ol.OVERLAP,) for site in m.scenario.sites}
     )
     values = sorted(set(probs.values()))
     outcome = frac(values[0]) if len(values) == 1 else "varies"
@@ -479,10 +478,8 @@ def cmd_pbr(report: Report, _, args) -> None:
 
 
 def cmd_demo(report: Report, _, args) -> None:
-    from .. import quantum
-
     demo = {"epr": _demo_epr, "steering": _demo_steering, "chsh": _demo_chsh}[args.which]
-    demo(report, quantum, args)
+    demo(report, ol.quantum, args)
 
 
 def _complex_pairs(zs) -> list:
@@ -551,8 +548,10 @@ def _demo_steering(report: Report, quantum, args) -> None:
 
 
 def _demo_chsh(report: Report, quantum, args) -> None:
+    from . import zoo
+
     h, build_ms = timed(zoo.chsh_psi_complete, args.max_denominator)
-    e, ms = timed(operational_probabilities, h, "entangled-pair")
+    e, ms = timed(ol.operational_probabilities, h, "entangled-pair")
     build_ms += ms
 
     s, ms = timed(chsh_value, e)
@@ -564,8 +563,8 @@ def _demo_chsh(report: Report, quantum, args) -> None:
         detail=f"exact value {frac(s)}; 2*sqrt(2) is about {quantum.TSIRELSON:.5f}",
         artifact=s,
     )
-    report.check("parameter-independence", is_parameter_independent, h)
-    _decision(report, e, DEFAULT_ASSIGNMENT_CAP)
+    report.check("parameter-independence", ol.is_parameter_independent, h)
+    _decision(report, e, None)
 
 
 def chsh_value(e: EmpiricalModel) -> Fraction:
@@ -588,6 +587,8 @@ def chsh_value(e: EmpiricalModel) -> Fraction:
 
 
 def cmd_zoo(report: Report, _, args) -> int:
+    from . import zoo
+
     if args.action == "list":
         entries = [zoo.get_entry(name) for name in zoo.zoo_names()]
         if args.json:
@@ -648,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--cap",
         type=int,
-        default=DEFAULT_ASSIGNMENT_CAP,
+        default=None,
         help="refuse scenarios with more global assignments than this",
     )
     add("classify-property", "ontic or epistemic, with the inversion cross-check", cmd_classify_property, "property")
@@ -707,6 +708,14 @@ def main(argv=None) -> int:
     except OntolabError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+
+
+def __getattr__(name: str):
+    # perfbench's recorder test reads `decide_local` from this module, which
+    # imported it by name before the layers loaded lazily.
+    if name == "decide_local":
+        return ol.decide_local
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":

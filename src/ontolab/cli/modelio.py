@@ -15,6 +15,10 @@ to parse, a repeated object key and a number with more digits than the
 interpreter reads; and well-formed payloads whose numbers break a model
 invariant raise InvariantViolation carrying the underlying detail (for a
 bad distribution, the exact deficit).
+
+Importing this module loads only `probcore`: each decoder imports the
+layer of the model it builds when it runs, and the type tables are keyed
+by qualified type name (`type_name`).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping, Union
+from typing import TYPE_CHECKING, Any, Union
 
 from ..probcore import (
     Dist,
@@ -35,9 +39,11 @@ from ..probcore import (
     MeasurementScenario,
     OntolabError,
 )
-from ..ontomodel import CanonicalLocalModel, OntologicalModel
-from ..prepscen import PreparationModel, PreparationScenario
-from ..properties import Property
+
+if TYPE_CHECKING:
+    from ..ontomodel import CanonicalLocalModel, OntologicalModel
+    from ..prepscen import PreparationModel
+    from ..properties import Property
 
 FORMAT_VERSION = 1
 
@@ -94,7 +100,7 @@ class DemoConfig:
             raise InvariantViolation("max_denominator must be a positive integer")
 
 
-Payload = Union[EmpiricalModel, OntologicalModel, PreparationModel, Property, DemoConfig]
+Payload = Union[EmpiricalModel, "OntologicalModel", "PreparationModel", "Property", DemoConfig]
 
 
 @dataclass(frozen=True)
@@ -108,13 +114,20 @@ class ModelFile:
     def __post_init__(self):
         if self.kind not in KNOWN_KINDS:
             raise InvariantViolation(f"unknown kind {self.kind!r}")
-        expected = _KIND_OF_TYPE[type(self.payload)]
+        expected = _KIND_OF_TYPE[type_name(self.payload)]
         if expected != self.kind:
             raise InvariantViolation(
                 f"payload of type {type(self.payload).__name__} does not match kind {self.kind!r}"
             )
         if self.format_version != FORMAT_VERSION:
             raise InvariantViolation(f"unsupported format_version {self.format_version}")
+
+
+def type_name(obj: Any) -> str:
+    """Qualified name of `obj`'s type: the key of every type-dispatch table,
+    so that a lookup needs no import of the layer that defines the type."""
+    t = type(obj)
+    return f"{t.__module__}.{t.__qualname__}"
 
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
@@ -267,6 +280,8 @@ def ontological_to_obj(h: OntologicalModel) -> dict:
 
 
 def ontological_from_obj(obj: Any, path: str) -> OntologicalModel:
+    from ..ontomodel import OntologicalModel
+
     _expect(obj, dict, path)
     for key in ("scenario", "preparations", "ontic_space", "prep_dists", "responses"):
         if key not in obj:
@@ -310,6 +325,8 @@ def preparation_to_obj(m: PreparationModel) -> dict:
 
 
 def preparation_from_obj(obj: Any, path: str) -> PreparationModel:
+    from ..prepscen import PreparationModel, PreparationScenario
+
     _expect(obj, dict, path)
     for key in ("sites", "preparations", "ontic_spaces", "tables"):
         if key not in obj:
@@ -354,6 +371,8 @@ def property_to_obj(p: Property) -> dict:
 
 
 def property_from_obj(obj: Any, path: str) -> Property:
+    from ..properties import Property
+
     _expect(obj, dict, path)
     for key in ("ontic_space", "values", "f"):
         if key not in obj:
@@ -404,22 +423,23 @@ def canonical_to_obj(c: CanonicalLocalModel) -> dict:
     }
 
 
-# The one type -> wire-encoder dispatch, shared with the CLI's JSON output.
+# The one type -> wire-encoder dispatch, shared with the CLI's JSON output;
+# keyed by `type_name`.
 ENCODERS = {
-    EmpiricalModel: empirical_to_obj,
-    OntologicalModel: ontological_to_obj,
-    PreparationModel: preparation_to_obj,
-    Property: property_to_obj,
-    DemoConfig: demo_config_to_obj,
-    CanonicalLocalModel: canonical_to_obj,
+    "ontolab.probcore.EmpiricalModel": empirical_to_obj,
+    "ontolab.ontomodel.OntologicalModel": ontological_to_obj,
+    "ontolab.prepscen.PreparationModel": preparation_to_obj,
+    "ontolab.properties.Property": property_to_obj,
+    "ontolab.cli.modelio.DemoConfig": demo_config_to_obj,
+    "ontolab.ontomodel.CanonicalLocalModel": canonical_to_obj,
 }
 
 _KIND_OF_TYPE = {
-    EmpiricalModel: KIND_EMPIRICAL,
-    OntologicalModel: KIND_ONTOLOGICAL,
-    PreparationModel: KIND_PREPARATION,
-    Property: KIND_PROPERTY,
-    DemoConfig: KIND_DEMO,
+    "ontolab.probcore.EmpiricalModel": KIND_EMPIRICAL,
+    "ontolab.ontomodel.OntologicalModel": KIND_ONTOLOGICAL,
+    "ontolab.prepscen.PreparationModel": KIND_PREPARATION,
+    "ontolab.properties.Property": KIND_PROPERTY,
+    "ontolab.cli.modelio.DemoConfig": KIND_DEMO,
 }
 
 _FROM_OBJ = {
@@ -432,14 +452,14 @@ _FROM_OBJ = {
 
 
 def model_file_for(payload: Payload) -> ModelFile:
-    return ModelFile(_KIND_OF_TYPE[type(payload)], payload)
+    return ModelFile(_KIND_OF_TYPE[type_name(payload)], payload)
 
 
 def serialize_model_file(mf: ModelFile) -> str:
     doc = {
         "format_version": mf.format_version,
         "kind": mf.kind,
-        "payload": ENCODERS[type(mf.payload)](mf.payload),
+        "payload": ENCODERS[type_name(mf.payload)](mf.payload),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

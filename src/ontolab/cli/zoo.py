@@ -3,7 +3,9 @@
 Every entry carries its expected verdicts as fixture data, so the test
 suite and the CLI can both replay them. `zoo:<name>` pseudo-paths resolve
 here; setting ONTOLAB_ZOO_DIR lets a directory of JSON files shadow the
-built-ins by name.
+built-ins by name. Each builder imports the layer of the model it builds
+when it runs, so listing the zoo or loading an empirical entry loads no
+layer beyond `probcore`.
 """
 
 from __future__ import annotations
@@ -15,12 +17,9 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
 from ..probcore import Dist, EmpiricalModel, JointOutcome, MeasurementScenario, OntolabError
-from ..ontomodel import OntologicalModel, operational_probabilities
-from ..prepscen import PBRParams, pbr_counterexample
-from ..properties import Property
 from .modelio import (
     KIND_EMPIRICAL,
     KIND_ONTOLOGICAL,
@@ -31,6 +30,10 @@ from .modelio import (
     model_file_for,
     parse_model_file,
 )
+
+if TYPE_CHECKING:
+    from ..ontomodel import OntologicalModel
+    from ..properties import Property
 
 
 class UnknownZooEntry(OntolabError):
@@ -133,6 +136,8 @@ def specker_triangle() -> EmpiricalModel:
 def fuzzy_coin_property() -> Property:
     """Coin-pair guess: four ontic states, a two-valued report that is a
     point mass only at the extremes."""
+    from ..properties import Property
+
     return Property(
         ("GG", "GW", "WG", "WW"),
         ("heads", "tails"),
@@ -169,10 +174,14 @@ def chsh_psi_complete(max_denominator: int = 10**6) -> OntologicalModel:
 
 def chsh_quantum_empirical(max_denominator: int = 10**6) -> EmpiricalModel:
     """Operational tables of the entangled pair at the optimal angles."""
+    from ..ontomodel import operational_probabilities
+
     return operational_probabilities(chsh_psi_complete(max_denominator), "entangled-pair")
 
 
 def pbr_model(q: Fraction = Fraction(1, 4)) -> "Payload":
+    from ..prepscen import PBRParams, pbr_counterexample
+
     return pbr_counterexample(PBRParams(q))
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI runs, in process: exit codes, report shape, and the
 JSON mode."""
 
+import importlib
 import json
 import os
 import random
@@ -21,9 +22,11 @@ from ontolab import (
     check_no_signalling,
 )
 from ontolab.probcore import InternalError, JointOutcome
-from ontolab.cli.main import main
-from ontolab.cli.modelio import model_file_for, parse_model_file, serialize_model_file
+from ontolab.cli.main import RENDER, main
+from ontolab.cli.modelio import ENCODERS, model_file_for, parse_model_file, serialize_model_file
+from ontolab.cli import zoo
 from ontolab.cli.zoo import bell_scenario, pr_box
+from ontolab.prepscen import PBRParams, pbr_counterexample
 
 F = Fraction
 
@@ -327,7 +330,7 @@ class TestInternalErrors:
         def broken(e, cap):
             raise InternalError("Farkas vector fails y.b > 0")
 
-        monkeypatch.setattr("ontolab.cli.main.decide_local", broken)
+        monkeypatch.setattr("ontolab.localdecide.decide_local", broken)
         code, out, err = cli("decide-local", "zoo:prbox")
         assert code == 5
         assert out == ""
@@ -474,3 +477,53 @@ def test_exact_subcommands_do_not_load_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_every_render_and_encoder_key_names_its_class():
+    for key in [*RENDER, *ENCODERS]:
+        module, _, name = key.rpartition(".")
+        cls = getattr(importlib.import_module(module), name)
+        assert f"{cls.__module__}.{cls.__qualname__}" == key
+
+
+IMPORT_PROBE = """
+import contextlib, io, sys
+from ontolab.cli.main import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(sys.argv[1:])
+print(" ".join(sorted(m for m in sys.modules if m == "ontolab" or m.startswith("ontolab."))))
+"""
+
+_CORE = ("ontolab", "ontolab.cli", "ontolab.cli.main", "ontolab.cli.modelio", "ontolab.probcore")
+_ONTO = ("ontolab.ontomodel", "ontolab.properties")
+
+
+IMPORT_CASES = [
+    (("check-ns",), "empirical", ()),
+    (("validate",), "empirical", ()),
+    (("decide-local",), "empirical", ("ontolab.localdecide",)),
+    (("classify-property",), "property", ("ontolab.properties",)),
+    (("onto-report",), "ontological", _ONTO),
+    (("canonicalize",), "ontological", _ONTO),
+    (("prep-check",), "preparation", ("ontolab.prepscen", *_ONTO)),
+    (("pbr",), None, ("ontolab.prepscen", *_ONTO)),
+    (("zoo", "list"), None, ("ontolab.cli.zoo",)),
+]
+
+
+@pytest.mark.parametrize("argv,kind,extra", IMPORT_CASES, ids=[" ".join(c[0]) for c in IMPORT_CASES])
+def test_each_command_loads_only_the_layers_it_uses(tmp_path, argv, kind, extra):
+    payloads = {
+        "empirical": pr_box(),
+        "property": ontic_property(),
+        "ontological": zoo.chsh_psi_complete(),
+        "preparation": pbr_counterexample(PBRParams(Fraction(1, 4))),
+    }
+    args = [*argv, write_model(tmp_path, payloads[kind])] if kind else list(argv)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == sorted({*_CORE, *extra})
