@@ -4,21 +4,26 @@ A model is locally realizable when some probability distribution over
 global outcome assignments reproduces every context table. Membership is
 an exact rational linear feasibility problem, solved here by a phase-one
 primal simplex with Bland's smallest-index pivoting rule, which excludes
-cycling. The tableau is fraction-free: each row is a list of Python ints
-over one positive row denominator, updated by integer cross-multiplication
-and reduced by the row gcd (Bareiss, Math. Comp. 22, 565 (1968)), so no
-cell is ever a `Fraction`; results are converted to `Fraction` on the way
-out. Feasibility yields the realizing distribution; infeasibility yields a
-Farkas vector that, read over the assignment space, is a Bell-type
-inequality the model violates.
+cycling. The tableau is fraction-free (Bareiss, Math. Comp. 22, 565
+(1968)): each row is a list of Python ints over one positive row
+denominator, updated by integer cross-multiplication, so no cell is ever a
+`Fraction`. Each column is scaled by the lcm of its denominators and the
+right-hand side by that of b's, a positive change of variable, so every
+row starts over denominator 1 (for the incidence rows of `decide_local`,
+only b is scaled) and the pivots are those of a `Fraction` tableau; a row
+is reduced by its gcd only when a pivot grows its denominator. Results
+are converted to `Fraction` on the way out. Feasibility yields the
+realizing distribution; infeasibility yields a Farkas vector that, read
+over the assignment space, is a Bell-type inequality the model violates.
 
-Both outputs are self-verifying: `verify_witness` and
-`verify_signed_weights` push every weight onto its restriction to each
-context and compare the sums with the tables, and `verify_certificate`
-re-evaluates the inequality by enumerating every outcome tuple of the
-measurements, with int coefficients keyed by outcome tuple, building no
-`JointOutcome` and with no reference to the simplex code path. No
-verifier lists the events of a context.
+Both outputs are self-verifying, with no reference to the simplex code
+path and building no `JointOutcome`: `verify_witness` and
+`verify_signed_weights` sum every weight under the outcome tuple of its
+restriction to each context and compare the sums with the tables, and
+`verify_certificate` re-evaluates the inequality on every outcome tuple of
+the measurements, listed once, with int coefficients keyed by outcome
+tuple, summed per context by `map` and `zip`. No verifier lists the
+events of a context.
 
 The solver side works on assignment indices: assignment k is the
 mixed-radix number over the measurements, each outcome's digit its index
@@ -42,7 +47,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Any, Mapping, Optional, Sequence, Union
 
 from .probcore import (
@@ -104,9 +109,12 @@ def lp_feasibility(rows: Sequence[Sequence], rhs: Sequence) -> Union[Feasible, I
 
     Entries may be ints, `Fraction`s or anything `Fraction` accepts. The
     tableau holds each row as Python ints over one positive row
-    denominator (see `_pivot`); the entering column is picked by sign and
-    the ratio test compares by cross-multiplication, so the pivots, and
-    the `Fraction` outputs, are those of a `Fraction` tableau.
+    denominator (see `_pivot`), starting at 1 in the scaled variables of
+    `_integer_rows`. Scaling a column by a positive int scales its reduced
+    cost and its ratios alike, and the artificial columns are not scaled,
+    so the entering column (picked by sign), the ratio test (by
+    cross-multiplication), the phase-one duals and hence the pivots and
+    the `Fraction` outputs are those of a `Fraction` tableau on [A | b].
     """
     m = len(rows)
     if len(rhs) != m:
@@ -118,8 +126,8 @@ def lp_feasibility(rows: Sequence[Sequence], rhs: Sequence) -> Union[Feasible, I
     if m == 0:
         return Feasible(tuple(Fraction(0) for _ in range(n)))
 
-    # orig[i] / scale[i] is row i of [A | b], read exactly.
-    orig, scale = _integer_rows(rows, rhs)
+    # orig is [A * diag(col_scale) | b * b_scale] in ints (see `_integer_rows`).
+    orig, col_scale, b_scale = _integer_rows(rows, rhs)
     sign = []
     tableau = []
     for i in range(m):
@@ -130,19 +138,17 @@ def lp_feasibility(rows: Sequence[Sequence], rhs: Sequence) -> Union[Feasible, I
         else:
             sign.append(1)
         art = [0] * m
-        art[i] = scale[i]
+        art[i] = 1
         tableau.append(row[:n] + art + [row[n]])
-    dens = list(scale)
+    dens = [1] * (m + 1)
     ncols = n + m
     basis = [n + i for i in range(m)]
     # Reduced costs for min sum-of-artificials with the artificial basis,
     # carried as the last tableau row; its last entry is minus the
     # current objective value. The artificial columns cancel to zero; the
     # others are column sums of the sign-flipped integer rows.
-    unit = lcm(*scale)
-    cost = _column_sums(orig, [s * (unit // d) for s, d in zip(sign, scale)])
+    cost = _column_sums(orig, sign)
     tableau.append([-v for v in cost[:n]] + [0] * m + [-cost[-1]])
-    dens.append(unit)
 
     while True:
         zrow = tableau[m]
@@ -171,16 +177,16 @@ def lp_feasibility(rows: Sequence[Sequence], rhs: Sequence) -> Union[Feasible, I
         x = [Fraction(0)] * n
         for i, var in enumerate(basis):
             if var < n:
-                x[var] = Fraction(tableau[i][-1], dens[i])
+                x[var] = Fraction(tableau[i][-1] * col_scale[var], dens[i] * b_scale)
         return Feasible(tuple(x))
 
     zden = dens[m]
     ynum = [sign[i] * (zden - zrow[n + i]) for i in range(m)]
     y = tuple(Fraction(v, zden) for v in ynum)
     # The Farkas conditions are cheap to confirm and guard the whole module.
-    # They are checked in integers: w_i = y_i * zden * unit / scale_i is a
-    # positive rescaling of y_i / scale_i, the weight of integer row i.
-    combined = _column_sums(orig, [v * (unit // d) for v, d in zip(ynum, scale)])
+    # They are checked in integers: the rows of orig are those of [A | b]
+    # with each column scaled by a positive int, which keeps both signs.
+    combined = _column_sums(orig, ynum)
     if any(v > 0 for v in combined[:n]):
         raise InternalError("Farkas vector fails yA <= 0")
     if combined[n] <= 0:
@@ -194,22 +200,26 @@ def _column_sums(rows: Sequence[Sequence], weights: Sequence) -> list:
 
 
 def _integer_rows(rows: Sequence[Sequence], rhs: Sequence) -> tuple:
-    """Each row of [A | b] as a list of ints and one positive scale, the
-    lcm of its entries' denominators, so that ints / scale is the row.
-    Rows of plain ints (the incidence rows) take the denominator of b."""
-    out = []
-    scales = []
-    for r, b in zip(rows, rhs):
-        if not set(map(type, r)) - {int}:
-            b = b if isinstance(b, (int, Fraction)) else Fraction(b)
-            d = b.denominator
-            out.append([*r, b.numerator] if d == 1 else [v * d for v in r] + [b.numerator])
-        else:
-            vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in (*r, b)]
-            d = lcm(*(v.denominator for v in vals))
-            out.append([v.numerator * (d // v.denominator) for v in vals])
-        scales.append(d)
-    return out, scales
+    """[A * diag(col_scale) | b * b_scale] as int rows, with col_scale and b_scale.
+
+    col_scale[j] is the lcm of column j's denominators (1 for a column of
+    ints, as in the incidence rows) and b_scale that of b's, so the rows
+    state A x = b in x_j = col_scale[j] * z_j / b_scale, a positive change of
+    variable: every row starts over denominator 1.
+    """
+
+    def exact(vals):
+        return [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in vals]
+
+    b = exact(rhs)
+    b_scale = lcm(*(v.denominator for v in b))
+    b = [v.numerator * (b_scale // v.denominator) for v in b]
+    if not any(set(map(type, r)) - {int} for r in rows):
+        return [[*r, bi] for r, bi in zip(rows, b)], [1] * len(rows[0] if rows else ()), b_scale
+    rows = [exact(r) for r in rows]
+    col_scale = [lcm(*(v.denominator for v in col)) for col in zip(*rows)]
+    out = [[*(v.numerator * (c // v.denominator) for v, c in zip(r, col_scale)), bi] for r, bi in zip(rows, b)]
+    return out, col_scale, b_scale
 
 
 def _pivot(rows: list, dens: list, r: int, col: int) -> None:
@@ -217,12 +227,13 @@ def _pivot(rows: list, dens: list, r: int, col: int) -> None:
     rows[i] / dens[i] with dens[i] > 0.
 
     Row r is scaled to a unit entry at col (its denominator becomes the
-    pivot). Every other row with a nonzero f at col becomes
-    row*(p/g) - (f/g)*prow over den*(p/g), with p the pivot and
-    g = gcd(f, p), which clears col, then is divided by the gcd of its
-    entries and denominator: the one integer form of that rational row with
-    coprime entries and a positive denominator, whatever factor the update
-    carried. Rows with a zero at col are left alone.
+    pivot) and divided by the gcd of its entries. Every other row with a
+    nonzero f at col becomes row*(p/g) - (f/g)*prow over den*(p/g), with p
+    the pivot and g = gcd(f, p), which clears col. Only a row whose
+    denominator grew (p/g > 1) is then divided by the gcd of its entries
+    and denominator; when p divides f the denominator is unchanged, so the
+    ints are the row's exact values times it and cannot grow. Rows with a
+    zero at col are left alone.
     """
     prow = rows[r]
     p = prow[col]
@@ -245,13 +256,14 @@ def _pivot(rows: list, dens: list, r: int, col: int) -> None:
         new = [a * q for a in row] if q != 1 else list(row)
         for j, v in nz:
             new[j] -= f * v
-        d = dens[i] * q
-        g = gcd(d, *new)
-        if g > 1:
-            new = [a // g for a in new]
-            d //= g
+        if q != 1:
+            d = dens[i] * q
+            g = gcd(d, *new)
+            if g > 1:
+                new = [a // g for a in new]
+                d //= g
+            dens[i] = d
         rows[i] = new
-        dens[i] = d
 
 
 def _digit_lists(scenario: MeasurementScenario, cap: int) -> list:
@@ -347,15 +359,18 @@ class SignedWeights:
 def _reproduces_tables(e: EmpiricalModel, weights: Mapping[JointOutcome, Fraction]) -> bool:
     # Restrictions of total assignments are events and table supports are
     # events, so comparing the nonzero sums with the tables covers every event.
+    # A total assignment's outcomes follow the measurement order, and a
+    # context's event outcomes follow the context, so both key by tuple.
     sc = e.scenario
     if not all(sc.is_event(sc.measurements, omega) for omega in weights):
         return False
+    position = {m: i for i, m in enumerate(sc.measurements)}
+    outcomes = [omega.outcomes for omega in weights]
     for ctx in sc.cover:
         mass: dict = {}
-        for omega, w in weights.items():
-            ev = omega.restrict(ctx)
-            mass[ev] = mass.get(ev, 0) + w
-        if {ev: w for ev, w in mass.items() if w != 0} != e.tables[ctx].weights:
+        for key, w in zip(zip(*(map(itemgetter(position[m]), outcomes) for m in ctx)), weights.values()):
+            mass[key] = mass.get(key, 0) + w
+        if {key: w for key, w in mass.items() if w} != {ev.outcomes: w for ev, w in e.tables[ctx].weights.items()}:
             return False
     return True
 
@@ -407,7 +422,8 @@ def decide_local(
     equality per context event plus normalization. The Farkas vector of an
     infeasible system becomes the certificate's coefficients, brought to
     coprime integers; its bound is the largest value of the inequality over
-    the assignments, summed per context through the event indices.
+    the assignments, summed per context through the event indices, and its
+    model value one `Fraction` over the lcm of the used tables' weights.
     """
     digits = _digit_lists(e.scenario, cap)
     rows, rhs, row_events, hits = _equality_system(e, digits)
@@ -415,11 +431,7 @@ def decide_local(
     if isinstance(result, Feasible):
         return LocalWitness(Dist(_nonzero_weights(e.scenario, digits, result.x)))
 
-    coeffs = {
-        i: yi
-        for i, (event, yi) in enumerate(zip(row_events, result.y))
-        if event is not None and yi != 0
-    }
+    coeffs = {i: yi for i, (event, yi) in enumerate(zip(row_events, result.y)) if event is not None and yi}
     if not coeffs:
         raise InternalError("Farkas vector touches only the normalization row")
     # Cosmetic normal form: integer coefficients with no common factor.
@@ -433,7 +445,8 @@ def decide_local(
         cs = [coeffs.get(i, 0) for i in span]
         if any(cs):
             values = [v + cs[h] for v, h in zip(values, hit)]
-    model_value = sum((c * rhs[i] for i, c in coeffs.items()), Fraction(0))
+    den = lcm(*(rhs[i].denominator for i in coeffs))
+    model_value = Fraction(sum(c * rhs[i].numerator * (den // rhs[i].denominator) for i, c in coeffs.items()), den)
     return NonlocalityCertificate(
         {row_events[i]: Fraction(c) for i, c in coeffs.items()}, model_value, Fraction(max(values))
     )
@@ -449,10 +462,11 @@ def verify_certificate(e: EmpiricalModel, cert: NonlocalityCertificate) -> bool:
 
     Every coefficient must name a context of the model's cover. The
     coefficients are scaled to ints over their common denominator and
-    grouped by context, keyed by outcome tuple; an assignment's value is
-    the sum, over those contexts, of the int keyed by its outcomes at the
-    context's positions in the measurement order. At most one coefficient
-    per context matches an assignment: its restriction.
+    grouped by context, keyed by outcome tuple. The outcome tuples of the
+    measurements are listed once; per context, the outcomes at the
+    context's positions key each assignment's int (0 when absent), and an
+    assignment's value is the sum of its ints over those contexts. At most
+    one coefficient per context matches an assignment: its restriction.
     """
     coeffs = cert.coefficients
     denom = lcm(*(c.denominator for c in coeffs.values()))
@@ -465,13 +479,12 @@ def verify_certificate(e: EmpiricalModel, cert: NonlocalityCertificate) -> bool:
         by_context.setdefault(ev.context, {})[ev.outcomes] = c.numerator * (denom // c.denominator)
     ms = e.scenario.measurements
     position = {m: i for i, m in enumerate(ms)}
-    groups = [([position[m] for m in ctx], ints) for ctx, ints in by_context.items()]
-    pools = [e.scenario.outcomes[m] for m in ms]
-    best = max(
-        sum(ints.get(tuple(map(combo.__getitem__, at)), 0) for at, ints in groups)
-        for combo in itertools.product(*pools)
-    )
-    local_bound = Fraction(best, denom)
+    combos = list(itertools.product(*(e.scenario.outcomes[m] for m in ms)))
+    per_context = [
+        map(ints.get, zip(*(map(itemgetter(position[m]), combos) for m in ctx)), itertools.repeat(0))
+        for ctx, ints in by_context.items()
+    ]
+    local_bound = Fraction(max(map(sum, zip(*per_context))), denom)
     return (
         model_value == cert.model_value
         and local_bound == cert.local_bound
@@ -486,7 +499,8 @@ def _solve_linear(rows: list, rhs: list) -> Optional[list]:
     row at or below the rank as pivot; free variables are zero."""
     m = len(rows)
     n = len(rows[0]) if m else 0
-    aug, dens = _integer_rows(rows, rhs)
+    aug, col_scale, b_scale = _integer_rows(rows, rhs)
+    dens = [1] * m
     pivot_cols = []
     rank = 0
     for col in range(n):
@@ -505,7 +519,7 @@ def _solve_linear(rows: list, rhs: list) -> Optional[list]:
             return None
     x = [Fraction(0)] * n
     for i, col in enumerate(pivot_cols):
-        x[col] = Fraction(aug[i][n], dens[i])
+        x[col] = Fraction(aug[i][n] * col_scale[col], dens[i] * b_scale)
     return x
 
 

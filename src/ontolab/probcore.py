@@ -456,20 +456,25 @@ def product_mismatch(pools: Sequence[Sequence], marginals: Sequence[Dist], weigh
 def check_no_signalling(e: EmpiricalModel) -> Check:
     """Marginals of each measurement must agree across every context containing it.
 
-    Comparisons are exact. Each marginal is compared as a plain
-    ``{outcome: weight}`` map, summed from the outcome at the measurement's
+    Comparisons are exact. Each marginal is compared as its lowest common
+    denominator and a plain ``{outcome: int}`` map of numerators over it,
+    summed over the table's own lcm from the outcome at the measurement's
     position in the table's events; only the witness, which names the
     measurement, the two contexts, and both differing marginals, holds
-    `marginalize`'s distributions.
+    `marginalize`'s distributions. A model-wide lcm would grow with every
+    distinct denominator of the model and make the check quadratic.
     """
 
     def marginal(m, ctx):
         at = ctx.index(m)
+        weights = e.tables[ctx].weights
+        den = math.lcm(*(w.denominator for w in weights.values()))
         out: dict = {}
-        for ev, w in e.tables[ctx].weights.items():
+        for ev, w in weights.items():
             o = ev.pairs[at][1]
-            out[o] = out.get(o, 0) + w
-        return out
+            out[o] = out.get(o, 0) + w.numerator * (den // w.denominator)
+        g = math.gcd(den, *out.values())
+        return den // g, {o: v // g for o, v in out.items()}
 
     odd = first_disagreement(e.scenario.context_index, marginal)
     if not odd:

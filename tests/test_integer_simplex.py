@@ -52,16 +52,19 @@ F = Fraction
 # ------------------------------------------------------ random rational systems
 
 entries = st.builds(F, st.integers(-4, 4), st.integers(1, 4))
+PRIMES = [p for p in range(2, 98) if all(p % d for d in range(2, p))]
+coprime_entries = st.builds(F, st.integers(-4, 4), st.sampled_from(PRIMES))
 
 
 @st.composite
-def systems(draw):
+def systems(draw, entries=entries):
     """A rational system [A | b] with m <= 8 rows and n <= 12 columns.
 
-    A holds `Fraction`s, or plain ints as the incidence rows of
-    `decide_local` do. Half the draws take b = A x0 for a non-negative x0,
-    which is feasible; the others take b at random, often infeasible. Rows
-    may be duplicated, columns zeroed and right-hand sides negative.
+    A holds `Fraction`s drawn from ``entries``, or plain ints as the
+    incidence rows of `decide_local` do. Half the draws take b = A x0 for a
+    non-negative x0, which is feasible; the others take b from ``entries``
+    at random, often infeasible. Rows may be duplicated, columns zeroed and
+    right-hand sides negative.
     """
     m = draw(st.integers(1, 8))
     n = draw(st.integers(1, 12))
@@ -93,6 +96,23 @@ def test_lp_feasibility_equals_reference(system):
 def test_solve_linear_equals_reference(system):
     rows, rhs = system
     # The reference divides cells as they come, so it needs `Fraction`s.
+    as_fractions = [[F(v) for v in row] for row in rows]
+    assert _solve_linear(rows, rhs) == ref_solve_linear(as_fractions, rhs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems(coprime_entries))
+def test_lp_feasibility_equals_reference_under_coprime_denominators(system):
+    """Entries and right-hand sides over primes up to 97: columns and b get
+    different scales, and the reference still fixes every pivot."""
+    rows, rhs = system
+    assert lp_feasibility(rows, rhs) == ref_lp_feasibility(rows, rhs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems(coprime_entries))
+def test_solve_linear_equals_reference_under_coprime_denominators(system):
+    rows, rhs = system
     as_fractions = [[F(v) for v in row] for row in rows]
     assert _solve_linear(rows, rhs) == ref_solve_linear(as_fractions, rhs)
 
@@ -170,6 +190,27 @@ def test_decide_local_equals_reference_decision(seed):
     assert verdicts == {LocalWitness, NonlocalityCertificate}
 
 
+def prime_denominator_model(rng: random.Random, scenario: MeasurementScenario) -> EmpiricalModel:
+    """Every context's table over its own prime denominator, drawn at random."""
+    tables = {}
+    for ctx, p in zip(scenario.cover, rng.sample(PRIMES[10:], len(scenario.cover))):
+        events = scenario.events(ctx)
+        cuts = sorted(rng.randint(0, p) for _ in events[1:])
+        tables[ctx] = Dist({ev: F(b - a, p) for ev, a, b in zip(events, [0, *cuts], [*cuts, p])})
+    return EmpiricalModel(scenario, tables)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_decide_local_equals_reference_under_coprime_denominators(seed):
+    rng = random.Random(seed)
+    for na, nb in ((2, 2), (2, 3), (3, 3)):
+        e = prime_denominator_model(rng, two_party_scenario(na, nb))
+        assert len({w.denominator for t in e.tables.values() for w in t.weights.values()}) > 1
+        result = decide_local(e)
+        assert result == ref_decide_local(e)
+        assert verify_certificate(e, result) if isinstance(result, NonlocalityCertificate) else verify_witness(e, result)
+
+
 def test_signed_weights_equal_reference_solve():
     for e in ladder_models(3):
         if isinstance(decide_local(e), LocalWitness):
@@ -202,6 +243,31 @@ def test_replays_call_no_solver_helper(monkeypatch):
     assert verify_certificate(pr, cert)
     monkeypatch.setattr(JointOutcome, "__post_init__", forbidden)
     assert verify_certificate(pr, cert)
+
+
+def test_marginal_replays_build_no_joint_outcome(monkeypatch):
+    """`verify_witness` and `verify_signed_weights` key their sums by
+    outcome tuple, as `verify_certificate` does, and still refuse weights
+    moved between two assignments."""
+    local = local_model(random.Random(5), two_party_scenario(2, 2), 4)
+    witness = decide_local(local)
+    assert isinstance(witness, LocalWitness)
+    pr = embedded_pr_box(3, 3, settings=(2, 0, 1, 2))
+    sw = quasi_local_decomposition(pr)
+    (first, w), *_ = witness.dist.weights.items()
+    other = next(omega for omega in global_assignments(local.scenario) if omega != first)
+    moved = LocalWitness(Dist({**witness.dist.weights, first: 0, other: witness.dist.weight(other) + w}))
+    omegas = global_assignments(pr.scenario)
+    shifted = SignedWeights({**sw.weights, omegas[0]: sw.weights.get(omegas[0], 0) + 1, omegas[1]: sw.weights.get(omegas[1], 0) - 1})
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("JointOutcome built during a replay")
+
+    monkeypatch.setattr(JointOutcome, "__post_init__", forbidden)
+    assert verify_witness(local, witness)
+    assert verify_signed_weights(pr, sw)
+    assert not verify_witness(local, moved)
+    assert not verify_signed_weights(pr, shifted)
 
 
 def test_signed_decomposition_builds_its_system_once(monkeypatch):
