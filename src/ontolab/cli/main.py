@@ -35,7 +35,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping, Optional
@@ -49,6 +48,7 @@ from ..probcore import (
     InternalError,
     JointOutcome,
     OntolabError,
+    _value_class,
     check_no_signalling,
 )
 from .modelio import (
@@ -72,7 +72,7 @@ def timed(fn, *args) -> tuple:
     return result, (time.perf_counter() - t0) * 1000.0
 
 
-@dataclass
+@_value_class(frozen=False)
 class Verdict:
     check: str
     outcome: str
@@ -83,9 +83,9 @@ class Verdict:
     decision: bool = False
 
 
-@dataclass
+@_value_class(frozen=False)
 class Report:
-    verdicts: list = field(default_factory=list)
+    verdicts: list
 
     def add(self, *args, **kwargs) -> Verdict:
         v = Verdict(*args, **kwargs)
@@ -240,8 +240,9 @@ def describe(obj) -> str:
     render = RENDER.get(type_name(obj), _GENERIC)[0]
     if render is not None:
         return render(obj)
-    if is_dataclass(obj):
-        return ", ".join(f"{f.name} {_field_text(getattr(obj, f.name))}" for f in fields(obj))
+    names = getattr(obj, "__value_fields__", None)
+    if names is not None:
+        return ", ".join(f"{n} {_field_text(getattr(obj, n))}" for n in names)
     return str(obj)
 
 
@@ -263,8 +264,9 @@ def jsonable(obj):
     encode = ENCODERS.get(name) or RENDER.get(name, _GENERIC)[1]
     if encode is not None:
         return encode(obj)
-    if is_dataclass(obj):
-        return {f.name: jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    names = getattr(obj, "__value_fields__", None)
+    if names is not None:
+        return {n: jsonable(getattr(obj, n)) for n in names}
     if isinstance(obj, Mapping):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):
@@ -699,7 +701,7 @@ def main(argv=None) -> int:
             if mf.kind != args.kind:
                 raise OntolabError(f"expected a model of kind {args.kind!r}, got {mf.kind!r}")
             subject = mf.payload
-        report = Report()
+        report = Report([])
         code = args.func(report, subject, args)
         return emit(report, args) if code is None else code
     except InternalError as e:

@@ -27,7 +27,6 @@ import json
 import re
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Union
 
@@ -38,6 +37,7 @@ from ..probcore import (
     JointOutcome,
     MeasurementScenario,
     OntolabError,
+    _value_class,
 )
 
 if TYPE_CHECKING:
@@ -83,7 +83,7 @@ DEMOS = ("chsh", "steering", "epr")
 BASES = ("z", "x")
 
 
-@dataclass(frozen=True)
+@_value_class
 class DemoConfig:
     """File-borne parameters for the quantum demos."""
 
@@ -103,7 +103,7 @@ class DemoConfig:
 Payload = Union[EmpiricalModel, "OntologicalModel", "PreparationModel", "Property", DemoConfig]
 
 
-@dataclass(frozen=True)
+@_value_class
 class ModelFile:
     """A kind tag, a format version, and the decoded payload."""
 

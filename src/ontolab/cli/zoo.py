@@ -14,12 +14,11 @@ import functools
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
-from ..probcore import Dist, EmpiricalModel, JointOutcome, MeasurementScenario, OntolabError
+from ..probcore import Dist, EmpiricalModel, JointOutcome, MeasurementScenario, OntolabError, _value_class
 from .modelio import (
     KIND_EMPIRICAL,
     KIND_ONTOLOGICAL,
@@ -40,13 +39,13 @@ class UnknownZooEntry(OntolabError):
     """No built-in or overridden entry by that name."""
 
 
-@dataclass(frozen=True)
+@_value_class
 class ZooEntry:
     name: str
     kind: str
     summary: str
     build: Callable[..., Payload]
-    expected: Mapping[str, str] = field(default_factory=dict)
+    expected: Mapping[str, str]
     knobs: tuple = ()  # keyword arguments of `build` that `load_model` may pass
 
 

@@ -44,7 +44,6 @@ raises `InternalError`, never an input error.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter, mul
@@ -59,6 +58,7 @@ from .probcore import (
     JointOutcome,
     MeasurementScenario,
     OntolabError,
+    _value_class,
     check_no_signalling,
 )
 
@@ -85,14 +85,14 @@ class TooManyAssignments(OntolabError):
     """Global assignment space exceeds the configured cap."""
 
 
-@dataclass(frozen=True)
+@_value_class
 class Feasible:
     """A non-negative exact solution of the constraint system."""
 
     x: tuple
 
 
-@dataclass(frozen=True)
+@_value_class
 class Infeasible:
     """Farkas certificate: y with yA <= 0 componentwise and y.b > 0."""
 
@@ -305,14 +305,14 @@ def global_assignments(scenario: MeasurementScenario, cap: int = DEFAULT_ASSIGNM
     return _assignments(scenario, digits, range(len(digits[0])))
 
 
-@dataclass(frozen=True)
+@_value_class
 class LocalWitness:
     """Distribution over global assignments reproducing every table."""
 
     dist: Dist
 
 
-@dataclass(frozen=True)
+@_value_class
 class NonlocalityCertificate:
     """Inequality violated by the model: rational coefficients per event,
     the model's value, and the bound attained over global assignments."""
@@ -336,7 +336,7 @@ class NonlocalityCertificate:
         )
 
 
-@dataclass(frozen=True)
+@_value_class
 class SignedWeights:
     """Possibly-negative weights over global assignments, summing to one."""
 

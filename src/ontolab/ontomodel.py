@@ -14,7 +14,6 @@ assignments; the rewrite preserves operational probabilities exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping, Optional, Sequence
 
@@ -28,6 +27,7 @@ from .probcore import (
     OntolabError,
     PASS,
     _ordered,
+    _value_class,
     checked_tables,
     first_disagreement,
     is_delta,
@@ -66,7 +66,7 @@ class NotLocal(OntolabError):
         super().__init__(f"model is not local: {witness!r}")
 
 
-@dataclass(frozen=True)
+@_value_class
 class NondeterministicWitness:
     """A state and context whose response is not a point mass."""
 
@@ -75,7 +75,7 @@ class NondeterministicWitness:
     response: Dist
 
 
-@dataclass(frozen=True)
+@_value_class
 class ParameterDependenceWitness:
     """A measurement whose response marginal at some state depends on the context."""
 
@@ -87,7 +87,7 @@ class ParameterDependenceWitness:
     marginal_b: Dist
 
 
-@dataclass(frozen=True)
+@_value_class
 class FactorizationWitness:
     """A response cell that differs from the product of its own marginals."""
 
@@ -98,7 +98,7 @@ class FactorizationWitness:
     product: Fraction
 
 
-@dataclass(frozen=True)
+@_value_class
 class OntologicalModel:
     """Scenario, preparations, ontic space, and (state, context) responses."""
 
@@ -241,7 +241,7 @@ def onticity_report(h: OntologicalModel) -> dict:
     return report
 
 
-@dataclass(frozen=True)
+@_value_class
 class CanonicalLocalModel:
     """Local model in canonical form: one weight map over global assignments
     per preparation; responses are implied deltas."""

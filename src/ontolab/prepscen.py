@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
@@ -33,6 +32,7 @@ from .probcore import (
     OntolabError,
     PASS,
     _ordered,
+    _value_class,
     checked_tables,
     first_disagreement,
     labels,
@@ -50,7 +50,7 @@ class BadRegion(OntolabError):
     """A site region is empty, unknown, or not a subset of the site's states."""
 
 
-@dataclass(frozen=True)
+@_value_class
 class PreparationScenario:
     """Sites with their preparation choices and per-site ontic spaces.
 
@@ -96,7 +96,7 @@ class PreparationScenario:
             raise InvariantViolation(f"unknown site {site!r}") from None
 
 
-@dataclass(frozen=True)
+@_value_class
 class PrepSignallingWitness:
     """A site whose marginal depends on another site's preparation choice."""
 
@@ -108,7 +108,7 @@ class PrepSignallingWitness:
     marginal_b: Dist
 
 
-@dataclass(frozen=True)
+@_value_class
 class DependenceWitness:
     """A joint-state cell differing from the product of the site marginals."""
 
@@ -118,7 +118,7 @@ class DependenceWitness:
     product: Fraction
 
 
-@dataclass(frozen=True)
+@_value_class
 class PreparationModel:
     """One distribution over joint ontic states per joint preparation.
 
@@ -188,7 +188,7 @@ def is_preparation_independent(m: PreparationModel) -> Check:
     return PASS
 
 
-@dataclass(frozen=True)
+@_value_class
 class PBRParams:
     """Overlap weight for the two-site overlap-region counter-example."""
 

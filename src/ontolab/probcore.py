@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -69,6 +69,90 @@ class SumNotOne(InvariantViolation):
 
 class NotASubcontext(OntolabError):
     """Requested restriction target is not a non-empty sub-context."""
+
+
+def _value_class(cls=None, /, *, frozen=True, eq=True, order=False):
+    """Class decorator for the package's value types.
+
+    The annotated names of the class body are the fields, in order; a class
+    attribute of the same name is that field's default. The decorator adds
+    what ``dataclasses.dataclass`` with the same flags adds, and behaves
+    alike: ``__init__`` takes the fields by position or keyword and then
+    calls ``self.__post_init__()`` if the class has one, looked up at each
+    construction; ``__repr__``; with ``eq``, ``__eq__`` on the fields
+    between instances of the same class (a lone field is compared bare, not
+    as a 1-tuple, which differs only for a value unequal to itself, such as
+    a NaN); with ``frozen``, fields that cannot be assigned or deleted and,
+    with ``eq``, the hash of the tuple of the fields (a mutable class with
+    ``eq`` is unhashable); with ``order``, the four orderings. The methods
+    are closures over the field names and one ``operator.attrgetter``, so
+    no source is compiled and neither ``dataclasses`` nor ``inspect`` is
+    imported. The field names are kept as ``__value_fields__``.
+    """
+    if cls is None:
+        return lambda c: _value_class(c, frozen=frozen, eq=eq, order=order)
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    get = operator.attrgetter(*names)
+    assign = object.__setattr__
+    post_init = hasattr(cls, "__post_init__")
+
+    def bind(args, kwargs):
+        # Keyword arguments and defaults, refused as a plain signature would.
+        where = f"{cls.__qualname__}.__init__()"
+        if len(args) > len(names):
+            raise TypeError(f"{where} takes {len(names) + 1} positional arguments but {len(args) + 1} were given")
+        given = dict(zip(names, args))
+        for name in kwargs:
+            if name not in names:
+                raise TypeError(f"{where} got an unexpected keyword argument {name!r}")
+            if name in given:
+                raise TypeError(f"{where} got multiple values for argument {name!r}")
+        values = {**defaults, **given, **kwargs}
+        missing = [n for n in names if n not in values]
+        if missing:
+            raise TypeError(f"{where} missing required arguments {', '.join(map(repr, missing))}")
+        return [values[n] for n in names]
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            args = bind(args, kwargs)
+        for name, value in zip(names, args):
+            assign(self, name, value)
+        if post_init:
+            self.__post_init__()
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
+
+    def compare(op):
+        def method(self, other):
+            if other.__class__ is self.__class__:
+                return op(get(self), get(other))
+            return NotImplemented
+
+        return method
+
+    def refuse(self, name, *value):
+        raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    methods = {"__value_fields__": names, "__init__": __init__, "__repr__": __repr__}
+    if eq:
+        methods["__eq__"] = compare(operator.eq)
+        if not frozen:
+            methods["__hash__"] = None
+        elif len(names) == 1:
+            methods["__hash__"] = lambda self: hash((get(self),))
+        else:
+            methods["__hash__"] = lambda self: hash(get(self))
+    if order:
+        for name in ("lt", "le", "gt", "ge"):
+            methods[f"__{name}__"] = compare(getattr(operator, name))
+    if frozen:
+        methods.update(__setattr__=refuse, __delattr__=refuse)
+    for name, value in methods.items():
+        setattr(cls, name, value)
+    return cls
 
 
 def _ordered(items: Iterable) -> list:
@@ -114,7 +198,7 @@ def checked_tables(tables: Mapping, count: int, is_key, is_element, what: str) -
     return {k: tables[k] for k in _ordered(tables)}
 
 
-@dataclass(frozen=True)
+@_value_class
 class Dist:
     """Finite probability distribution with exact rational weights.
 
@@ -221,7 +305,7 @@ def product_dist(*dists: Dist) -> Dist:
     )
 
 
-@dataclass(frozen=True, order=True)
+@_value_class(order=True)
 class JointOutcome:
     """Assignment of one outcome to each measurement of a context.
 
@@ -286,7 +370,7 @@ def marginalize(d: Dist, sub: Sequence) -> Dist:
     return d.map_elements(lambda event: event.restrict(sub))
 
 
-@dataclass(frozen=True)
+@_value_class
 class MeasurementScenario:
     """Finite measurements, their outcome sets, and a cover of maximal contexts.
 
@@ -370,7 +454,7 @@ class MeasurementScenario:
         return n
 
 
-@dataclass(frozen=True)
+@_value_class
 class Check:
     """Outcome of a verification: truthy on pass, witness attached on failure."""
 
@@ -384,7 +468,7 @@ class Check:
 PASS = Check(True)
 
 
-@dataclass(frozen=True)
+@_value_class
 class SignallingWitness:
     """One measurement whose marginal differs between two contexts."""
 
@@ -395,7 +479,7 @@ class SignallingWitness:
     marginal_b: Dist
 
 
-@dataclass(frozen=True)
+@_value_class
 class EmpiricalModel:
     """One outcome distribution per maximal context of a scenario."""
 

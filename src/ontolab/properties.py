@@ -9,7 +9,6 @@ agree, which `hs_equivalence` re-checks instance by instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Any, Mapping, Optional, Union
@@ -18,6 +17,7 @@ from .probcore import (
     Dist,
     OntolabError,
     _ordered,
+    _value_class,
     checked_tables,
     is_delta,
     labels,
@@ -28,7 +28,7 @@ class PriorNotFullSupport(OntolabError):
     """The prior assigns zero weight to some ontic state."""
 
 
-@dataclass(frozen=True)
+@_value_class
 class Property:
     """Total map from ontic states to distributions over a value set."""
 
@@ -52,14 +52,14 @@ class Property:
         return self.value_dists[state]
 
 
-@dataclass(frozen=True)
+@_value_class
 class Ontic:
     """Every ontic state fixes a value; the certain assignment is recorded."""
 
     assignment: Mapping[Any, Any]
 
 
-@dataclass(frozen=True)
+@_value_class
 class Epistemic:
     """An ontic state whose value is uncertain, with two values it can take."""
 
@@ -84,7 +84,7 @@ def classify(p: Property) -> Classification:
     return Ontic(assignment)
 
 
-@dataclass(frozen=True)
+@_value_class
 class InvertedFamily:
     """Posterior state distributions, one per value with non-zero mass."""
 

@@ -31,7 +31,6 @@ import cmath
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Number
 from typing import Any, Mapping, Sequence, Union
@@ -44,6 +43,7 @@ from .probcore import (
     MeasurementScenario,
     OntolabError,
     _ordered,
+    _value_class,
 )
 from .ontomodel import OntologicalModel
 
@@ -178,7 +178,7 @@ def _eigh(m: tuple) -> list:
     raise InternalError(f"Jacobi eigensolver did not converge in {_JACOBI_SWEEPS} sweeps")
 
 
-@dataclass(frozen=True, eq=False)
+@_value_class(eq=False)
 class Ket:
     """Unit vector; the norm must be 1 within the normalization tolerance."""
 
@@ -200,7 +200,7 @@ class Ket:
         return Ket(values)
 
 
-@dataclass(frozen=True, eq=False)
+@_value_class(eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive semi-definite within tolerances."""
 
@@ -227,7 +227,7 @@ class DensityMatrix:
         return DensityMatrix(_outer(k.amplitudes, k.amplitudes))
 
 
-@dataclass(frozen=True, eq=False)
+@_value_class(eq=False)
 class Povm:
     """Labelled effects: positive semi-definite, summing to the identity."""
 
@@ -261,7 +261,7 @@ class Povm:
         return tuple(label for label, _ in self.effects)
 
 
-@dataclass(frozen=True, eq=False)
+@_value_class(eq=False)
 class Observable:
     """Hermitian matrix with its spectral decomposition.
 
@@ -270,7 +270,6 @@ class Observable:
     """
 
     matrix: tuple
-    spectrum: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         m = _matrix(self.matrix)
@@ -293,6 +292,7 @@ class Observable:
         if _max_diff(recon, m) > STRUCTURE_TOL:
             raise InvariantViolation("spectral reconstruction drifted beyond tolerance")
         object.__setattr__(self, "matrix", m)
+        # Not a field: derived from the matrix, so the repr leaves it out.
         object.__setattr__(self, "spectrum", spectrum)
 
     @property
@@ -623,14 +623,14 @@ def psi_complete_model(
     )
 
 
-@dataclass(frozen=True)
+@_value_class
 class OnticValue:
     """The state lies in a single eigenspace; its value is certain."""
 
     eigenvalue: float
 
 
-@dataclass(frozen=True)
+@_value_class
 class EpistemicValues:
     """The state overlaps at least two eigenspaces; the first two are
     reported, with their overlap masses snapped to exact rationals."""
