@@ -29,16 +29,20 @@ The solver side works on assignment indices: assignment k is the
 mixed-radix number over the measurements, each outcome's digit its index
 in the declared outcome tuple, the last measurement changing fastest
 (`_digit_lists`, which also orders `global_assignments`). It has one
-equality builder (`_equality_system`, the only caller of
-`MeasurementScenario.events`), run once per `decide_local` and once per
-`quasi_local_decomposition`: per context it folds the digit lists into
-the index of each assignment's event, which places the 0/1 int rows and
-gives the certificate's local bound. It builds a `JointOutcome` only for
-the context events, and `decide_local` and `quasi_local_decomposition`
-only for the support of a witness or of signed weights. One integer
-Gauss-Jordan step (`_pivot`) is shared by the simplex and the
-unrestricted solve; the verifiers call neither. A broken solver invariant
-raises `InternalError`, never an input error.
+equality builder (`_equality_system`), run once per `decide_local` and
+once per `quasi_local_decomposition`: per context it folds the digit
+lists into the index of each assignment's event, which places the 0/1 int
+rows and gives the certificate's local bound, and it reads the right-hand
+side off the table's weights by outcome tuple. So the system goes from
+the tables to `lp_feasibility` as ints and the tables' own `Fraction`s,
+and no `JointOutcome` is built for it. `decide_local` and
+`quasi_local_decomposition` build one per assignment in the support of a
+witness or of signed weights, and `decide_local` lists the events of a
+context (`MeasurementScenario.events`) only when a certificate
+coefficient names one of them. One integer Gauss-Jordan step (`_pivot`)
+is shared by the simplex and the unrestricted solve; the verifiers call
+neither. A broken solver invariant raises `InternalError`, never an input
+error.
 """
 
 from __future__ import annotations
@@ -107,10 +111,11 @@ def lp_feasibility(rows: Sequence[Sequence], rhs: Sequence) -> Union[Feasible, I
     minimised under Bland's rule. Zero optimum reads off a feasible point;
     a positive optimum reads the Farkas vector off the final cost row.
 
-    Entries may be ints, `Fraction`s or anything `Fraction` accepts. The
-    tableau holds each row as Python ints over one positive row
-    denominator (see `_pivot`), starting at 1 in the scaled variables of
-    `_integer_rows`. Scaling a column by a positive int scales its reduced
+    Entries may be ints, `Fraction`s or anything `Fraction` accepts; rows
+    whose sums are ints are taken as they are, with no conversion per cell
+    (see `_integer_rows`). The tableau holds each row as Python ints over
+    one positive row denominator (see `_pivot`), starting at 1 in the
+    scaled variables of `_integer_rows`. Scaling a column by a positive int scales its reduced
     cost and its ratios alike, and the artificial columns are not scaled,
     so the entering column (picked by sign), the ratio test (by
     cross-multiplication), the phase-one duals and hence the pivots and
@@ -127,28 +132,25 @@ def lp_feasibility(rows: Sequence[Sequence], rhs: Sequence) -> Union[Feasible, I
         return Feasible(tuple(Fraction(0) for _ in range(n)))
 
     # orig is [A * diag(col_scale) | b * b_scale] in ints (see `_integer_rows`).
+    # Each row is copied once, sign-flipped to a non-negative right-hand
+    # side; the reduced costs for min sum-of-artificials with the
+    # artificial basis are minus the column sums of those copies, taken
+    # before the artificial identity block goes in (its costs cancel to
+    # zero). The cost row is the last tableau row; its last entry is minus
+    # the current objective value.
     orig, col_scale, b_scale = _integer_rows(rows, rhs)
-    sign = []
-    tableau = []
-    for i in range(m):
-        row = orig[i]
-        if row[n] < 0:
-            sign.append(-1)
-            row = [-v for v in row]
-        else:
-            sign.append(1)
-        art = [0] * m
-        art[i] = 1
-        tableau.append(row[:n] + art + [row[n]])
+    sign = [-1 if row[n] < 0 else 1 for row in orig]
+    tableau = [[-v for v in row] if s < 0 else row[:] for row, s in zip(orig, sign)]
+    cost = [-v for v in map(sum, zip(*tableau))]
+    zeros = [0] * m
+    for i, row in enumerate(tableau):
+        row[n:n] = zeros
+        row[n + i] = 1
+    cost[n:n] = zeros
+    tableau.append(cost)
     dens = [1] * (m + 1)
     ncols = n + m
     basis = [n + i for i in range(m)]
-    # Reduced costs for min sum-of-artificials with the artificial basis,
-    # carried as the last tableau row; its last entry is minus the
-    # current objective value. The artificial columns cancel to zero; the
-    # others are column sums of the sign-flipped integer rows.
-    cost = _column_sums(orig, sign)
-    tableau.append([-v for v in cost[:n]] + [0] * m + [-cost[-1]])
 
     while True:
         zrow = tableau[m]
@@ -205,7 +207,8 @@ def _integer_rows(rows: Sequence[Sequence], rhs: Sequence) -> tuple:
     col_scale[j] is the lcm of column j's denominators (1 for a column of
     ints, as in the incidence rows) and b_scale that of b's, so the rows
     state A x = b in x_j = col_scale[j] * z_j / b_scale, a positive change of
-    variable: every row starts over denominator 1.
+    variable: every row starts over denominator 1. When every row sums to an
+    int, A is taken as ints and its rows are only copied.
     """
 
     def exact(vals):
@@ -214,7 +217,14 @@ def _integer_rows(rows: Sequence[Sequence], rhs: Sequence) -> tuple:
     b = exact(rhs)
     b_scale = lcm(*(v.denominator for v in b))
     b = [v.numerator * (b_scale // v.denominator) for v in b]
-    if not any(set(map(type, r)) - {int} for r in rows):
+    # `sum` adds ints and bools in C and hands any other cell to `+`, where a
+    # `Fraction`, float or `Decimal` gives its own type and a str raises: an
+    # int total means a row of ints and bools, which act as ints below.
+    try:
+        ints = all(type(sum(r)) is int for r in rows)
+    except TypeError:
+        ints = False
+    if ints:
         return [[*r, bi] for r, bi in zip(rows, b)], [1] * len(rows[0] if rows else ()), b_scale
     rows = [exact(r) for r in rows]
     col_scale = [lcm(*(v.denominator for v in col)) for col in zip(*rows)]
@@ -295,7 +305,7 @@ def _assignments(scenario: MeasurementScenario, digits: list, indices) -> list:
 def _nonzero_weights(scenario: MeasurementScenario, digits: list, x: Sequence) -> dict:
     """The nonzero entries of a vector over assignment indices, keyed by
     assignment."""
-    support = [k for k, w in enumerate(x) if w != 0]
+    support = [k for k, w in enumerate(x) if w]
     return dict(zip(_assignments(scenario, digits, support), (x[k] for k in support)))
 
 
@@ -329,10 +339,11 @@ class NonlocalityCertificate:
                 f"certificate does not separate: value {self.model_value} "
                 f"vs bound {self.local_bound}"
             )
+        # Joint outcomes order as their pairs do; a key compares those in C.
         object.__setattr__(
             self,
             "coefficients",
-            {ev: Fraction(c) for ev, c in sorted(self.coefficients.items())},
+            {ev: Fraction(c) for ev, c in sorted(self.coefficients.items(), key=lambda item: item[0].pairs)},
         )
 
 
@@ -349,7 +360,7 @@ class SignedWeights:
         object.__setattr__(
             self,
             "weights",
-            {w: Fraction(v) for w, v in sorted(self.weights.items()) if v != 0},
+            {w: Fraction(v) for w, v in sorted(self.weights.items(), key=lambda item: item[0].pairs) if v != 0},
         )
 
     def negative_part(self) -> dict:
@@ -376,41 +387,42 @@ def _reproduces_tables(e: EmpiricalModel, weights: Mapping[JointOutcome, Fractio
 
 
 def _equality_system(e: EmpiricalModel, digits: list) -> tuple:
-    """Rows, right-hand sides, row events and event indices of the
-    local-polytope system over the assignments of `_digit_lists`: one 0/1
-    int row per context event, in cover and event order, then the
-    normalization row (event None).
+    """Rows, right-hand sides and event indices of the local-polytope
+    system over the assignments of `_digit_lists`: one 0/1 int row per
+    context event, in cover and event order, then the normalization row.
 
-    For each context, ``hit[k]`` is the index of assignment k's restriction
-    in ``scenario.events(ctx)``, folded from the digit lists of the
-    context's measurements in context order; assignment k marks that row.
-    The last item lists ``(rows, hit)`` per context, in cover order, with
-    ``rows`` the range of the context's row indices.
+    A context's events are numbered as ``scenario.events(ctx)`` lists them:
+    the mixed-radix number of their outcome indices, in context order, the
+    last changing fastest. ``hit[k]``, folded from the digit lists of the
+    context's measurements, is the number of assignment k's restriction,
+    and assignment k marks that row. The right-hand side looks each
+    event's outcome tuple up in the table's weights keyed by outcome tuple,
+    so an event outside the support reads int 0; no event is built. The
+    last item lists ``(ctx, rows, hit)`` per context, in cover order, with
+    ``rows`` the slice of the context's row indices.
     """
     sc = e.scenario
     digits_of = dict(zip(sc.measurements, digits))
     n = len(digits[0])
     rows = []
     rhs = []
-    row_events = []
     hits = []
     for ctx in sc.cover:
         hit = digits_of[ctx[0]]
         for m in ctx[1:]:
             radix = len(sc.outcomes[m])
             hit = [h * radix + d for h, d in zip(hit, digits_of[m])]
-        events = sc.events(ctx)
-        block = [[0] * n for _ in events]
+        outcome_tuples = list(itertools.product(*(sc.outcomes[m] for m in ctx)))
+        block = [[0] * n for _ in outcome_tuples]
         for k, h in enumerate(hit):
             block[h][k] = 1
-        hits.append((range(len(rows), len(rows) + len(events)), hit))
+        hits.append((ctx, slice(len(rows), len(rows) + len(block)), hit))
         rows += block
-        rhs += map(e.tables[ctx].weight, events)
-        row_events += events
+        weights = {ev.outcomes: w for ev, w in e.tables[ctx].weights.items()}
+        rhs += map(weights.get, outcome_tuples, itertools.repeat(0))
     rows.append([1] * n)
-    rhs.append(Fraction(1))
-    row_events.append(None)
-    return rows, rhs, row_events, hits
+    rhs.append(1)
+    return rows, rhs, hits
 
 
 def decide_local(
@@ -424,32 +436,34 @@ def decide_local(
     coprime integers; its bound is the largest value of the inequality over
     the assignments, summed per context through the event indices, and its
     model value one `Fraction` over the lcm of the used tables' weights.
+    Only a context with a nonzero coefficient has its events listed.
     """
     digits = _digit_lists(e.scenario, cap)
-    rows, rhs, row_events, hits = _equality_system(e, digits)
+    rows, rhs, hits = _equality_system(e, digits)
     result = lp_feasibility(rows, rhs)
     if isinstance(result, Feasible):
         return LocalWitness(Dist(_nonzero_weights(e.scenario, digits, result.x)))
 
-    coeffs = {i: yi for i, (event, yi) in enumerate(zip(row_events, result.y)) if event is not None and yi}
-    if not coeffs:
+    y = result.y[:-1]
+    used = [i for i, c in enumerate(y) if c]
+    if not used:
         raise InternalError("Farkas vector touches only the normalization row")
     # Cosmetic normal form: integer coefficients with no common factor.
-    denom = lcm(*(c.denominator for c in coeffs.values()))
-    numer = gcd(*(c.numerator for c in coeffs.values()))
-    coeffs = {i: c.numerator * (denom // c.denominator) // numer for i, c in coeffs.items()}
+    denom = lcm(*(y[i].denominator for i in used))
+    numer = gcd(*(y[i].numerator for i in used))
+    ints = [c.numerator * (denom // c.denominator) // numer if c else 0 for c in y]
 
     # An assignment's value sums, over contexts, the coefficient of its event.
     values = [0] * len(digits[0])
-    for span, hit in hits:
-        cs = [coeffs.get(i, 0) for i in span]
+    named = {}
+    for ctx, span, hit in hits:
+        cs = ints[span]
         if any(cs):
             values = [v + cs[h] for v, h in zip(values, hit)]
-    den = lcm(*(rhs[i].denominator for i in coeffs))
-    model_value = Fraction(sum(c * rhs[i].numerator * (den // rhs[i].denominator) for i, c in coeffs.items()), den)
-    return NonlocalityCertificate(
-        {row_events[i]: Fraction(c) for i, c in coeffs.items()}, model_value, Fraction(max(values))
-    )
+            named.update((ev, c) for ev, c in zip(e.scenario.events(ctx), cs) if c)
+    den = lcm(*(rhs[i].denominator for i in used))
+    model_value = Fraction(sum(ints[i] * rhs[i].numerator * (den // rhs[i].denominator) for i in used), den)
+    return NonlocalityCertificate(named, model_value, Fraction(max(values)))
 
 
 def verify_witness(e: EmpiricalModel, witness: LocalWitness) -> bool:
@@ -538,7 +552,7 @@ def quasi_local_decomposition(
     if not ns:
         raise Signalling(ns.witness)
     digits = _digit_lists(e.scenario, cap)
-    rows, rhs, _, _ = _equality_system(e, digits)
+    rows, rhs, _ = _equality_system(e, digits)
     result = lp_feasibility(rows, rhs)
     solution = result.x if isinstance(result, Feasible) else _solve_linear(rows, rhs)
     if solution is None:

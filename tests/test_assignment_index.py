@@ -182,23 +182,26 @@ def count_joint_outcomes(monkeypatch) -> list:
 
 
 def test_a_certificate_builds_no_joint_outcome_per_assignment(monkeypatch):
-    """Only the events of the system are built; the coefficients reuse them.
-    Listing the 256 assignments, as a full column list would, exceeds it."""
+    """The system is built from outcome indices alone; only the contexts
+    that carry a nonzero coefficient have their events listed, to name
+    them. Listing the 256 assignments, as a full column list would,
+    exceeds it."""
     e = embedded_pr_box(4, 4)
-    events = sum(len(e.scenario.events(ctx)) for ctx in e.scenario.cover)
-    calls = count_joint_outcomes(monkeypatch)
     cert = decide_local(e)
     assert isinstance(cert, NonlocalityCertificate)
-    assert len(calls) <= events + len(cert.coefficients) < e.scenario.assignment_space_size()
+    named = {ev.context for ev in cert.coefficients}
+    events = sum(len(e.scenario.events(ctx)) for ctx in named)
+    calls = count_joint_outcomes(monkeypatch)
+    assert decide_local(e) == cert
+    assert len(calls) <= events < e.scenario.assignment_space_size()
 
 
 def test_a_witness_builds_joint_outcomes_only_for_its_support(monkeypatch):
     e = local_model(random.Random(2), two_party_scenario(4, 4), 3)
-    events = sum(len(e.scenario.events(ctx)) for ctx in e.scenario.cover)
     calls = count_joint_outcomes(monkeypatch)
     witness = decide_local(e)
     assert isinstance(witness, LocalWitness)
-    assert len(calls) <= events + len(witness.dist.weights)
+    assert len(calls) == len(witness.dist.weights)
 
 
 def marginalizing_check(e: EmpiricalModel) -> Check:

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ontolab import (
@@ -62,13 +62,15 @@ def systems(draw, entries=entries):
 
     A holds `Fraction`s drawn from ``entries``, or plain ints as the
     incidence rows of `decide_local` do. Half the draws take b = A x0 for a
-    non-negative x0, which is feasible; the others take b from ``entries``
-    at random, often infeasible. Rows may be duplicated, columns zeroed and
+    non-negative x0, which is feasible; the others take b at random, often
+    infeasible. Either way b is `Fraction`s, or ints when ``ints`` is drawn
+    true (x0 then holds ints). Rows may be duplicated, columns zeroed and
     right-hand sides negative.
     """
     m = draw(st.integers(1, 8))
     n = draw(st.integers(1, 12))
-    cells = st.integers(-4, 4) if draw(st.booleans()) else entries
+    ints = draw(st.booleans())
+    cells = st.integers(-4, 4) if ints or draw(st.booleans()) else entries
     rows = [draw(st.lists(cells, min_size=n, max_size=n)) for _ in range(m)]
     for i in range(m):
         if i and draw(st.integers(0, 3)) == 0:
@@ -77,10 +79,10 @@ def systems(draw, entries=entries):
         for row in rows:
             row[j] = 0
     if draw(st.booleans()):
-        x0 = draw(st.lists(st.builds(F, st.integers(0, 3), st.integers(1, 3)), min_size=n, max_size=n))
-        rhs = [sum((a * x for a, x in zip(row, x0)), F(0)) for row in rows]
+        x0 = draw(st.lists(st.integers(0, 3) if ints else st.builds(F, st.integers(0, 3), st.integers(1, 3)), min_size=n, max_size=n))
+        rhs = [sum((a * x for a, x in zip(row, x0)), 0 if ints else F(0)) for row in rows]
     else:
-        rhs = draw(st.lists(entries, min_size=m, max_size=m))
+        rhs = draw(st.lists(st.integers(-4, 4) if ints else entries, min_size=m, max_size=m))
     return rows, rhs
 
 
@@ -89,6 +91,23 @@ def systems(draw, entries=entries):
 def test_lp_feasibility_equals_reference(system):
     rows, rhs = system
     assert lp_feasibility(rows, rhs) == ref_lp_feasibility(rows, rhs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems(st.integers(-4, 4)))
+@example(([[F(1, 2), F(1, 2)], [F(3, 2), F(-1, 2)]], [1, F(1, 2)]))
+@example(([[0.5, 0.5], [1.5, -0.5]], [1, 0.5]))
+@example(([[True, False], [False, True], [True, True]], [F(1, 3), F(2, 3), 1]))
+@example(([[1, "1/2"], ["-1/2", "3/2"]], ["1", 0]))
+@example(([["1/2", "1/2"], [1, 2]], [-1, "2"]))
+def test_int_rows_take_the_path_of_fraction_rows(system):
+    """Rows that `lp_feasibility` takes as ints give the results of the
+    same rows as `Fraction`s, and of the reference. The examples hold
+    cells of the other types `Fraction` accepts, some summing to ints per
+    row: they must not be taken as ints."""
+    rows, rhs = system
+    as_fractions = [[F(v) for v in row] for row in rows]
+    assert lp_feasibility(rows, rhs) == lp_feasibility(as_fractions, rhs) == ref_lp_feasibility(rows, rhs)
 
 
 @settings(max_examples=300, deadline=None)
@@ -236,7 +255,8 @@ def test_replays_call_no_solver_helper(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("called during a replay")
 
-    for name in ("_equality_system", "_integer_rows", "_pivot", "lp_feasibility", "_solve_linear", "global_assignments"):
+    solver = ("_digit_lists", "_equality_system", "_integer_rows", "_column_sums", "_pivot", "lp_feasibility", "_solve_linear")
+    for name in solver + ("_assignments", "_nonzero_weights", "global_assignments"):
         monkeypatch.setattr(localdecide, name, forbidden)
     assert verify_witness(local, witness)
     assert verify_signed_weights(pr, sw)
