@@ -24,9 +24,15 @@ reaches every other layer through the lazy package (`ol.decide_local`),
 which imports the layer on first use and reads the name from it on each
 call, so a patched or wrapped function is the one called. `zoo` loads only
 for `zoo:` specs, `zoo` and `demo chsh`, and the float layer `quantum`
-only for `demo`; the demos render their own float objects. Artifacts render through one table, `RENDER`, keyed by the
-qualified name of their type, so rendering imports nothing: a layer that
-was never loaded cannot have made an artifact.
+only for `demo`; the demos render their own float objects.
+
+Each rendering job has one table, keyed by the qualified name of a type,
+so rendering imports nothing: a layer that was never loaded cannot have
+made an artifact. `RENDER` maps a type to its text, and `describe`, the
+one text dispatch, spells out any other value class field by field
+through it. `modelio.ENCODERS` maps a type to its JSON, the same form a
+model file uses, and `jsonable` reads it. `SIZES` holds the one-line
+size summary `validate` prints for each kind.
 """
 
 from __future__ import annotations
@@ -112,10 +118,6 @@ class Report:
 # ----------------------------------------------------- artifact rendering
 
 
-def frac(x) -> str:
-    return rational_to_str(Fraction(x))
-
-
 def _ctx_text(ctx) -> str:
     return "(" + ", ".join(str(m) for m in ctx) + ")"
 
@@ -132,38 +134,19 @@ def dist_text(d: Dist) -> str:
     parts = []
     for x, w in d.items():
         key = event_text(x) if isinstance(x, JointOutcome) else str(x)
-        parts.append(f"{key}: {frac(w)}")
+        parts.append(f"{key}: {rational_to_str(w)}")
     return "{" + ", ".join(parts) + "}"
 
 
 def _weights_text(title: str, weights: Mapping) -> str:
-    return "\n".join([title] + [f"  {assignment_text(omega)}  ->  {frac(w)}" for omega, w in weights.items()])
-
-
-def _dist_json(d: Dist) -> dict:
-    items = list(d.items())
-    if items and isinstance(items[0][0], JointOutcome):
-        table = {",".join(ev.outcomes): rational_to_str(w) for ev, w in items}
-        return {"context": list(items[0][0].context), "table": table}
-    return {str(x): rational_to_str(w) for x, w in items}
+    return "\n".join([title] + [f"  {assignment_text(omega)}  ->  {rational_to_str(w)}" for omega, w in weights.items()])
 
 
 def _certificate_text(c) -> str:
     lines = ["violated inequality (sum of coefficient * probability):"]
-    lines += [f"  {frac(v):>6} * P{event_text(ev)}" for ev, v in c.coefficients.items()]
-    lines.append(f"model value {frac(c.model_value)} exceeds the local bound {frac(c.local_bound)}")
+    lines += [f"  {rational_to_str(v):>6} * P{event_text(ev)}" for ev, v in c.coefficients.items()]
+    lines.append(f"model value {rational_to_str(c.model_value)} exceeds the local bound {rational_to_str(c.local_bound)}")
     return "\n".join(lines)
-
-
-def _certificate_json(c) -> dict:
-    return {
-        "coefficients": [
-            {"context": list(ev.context), "event": ",".join(ev.outcomes), "coefficient": rational_to_str(v)}
-            for ev, v in c.coefficients.items()
-        ],
-        "model_value": rational_to_str(c.model_value),
-        "local_bound": rational_to_str(c.local_bound),
-    }
 
 
 def _preparation_text(m) -> str:
@@ -171,86 +154,54 @@ def _preparation_text(m) -> str:
     for jp in m.scenario.joint_preparations():
         lines.append(f"joint preparation ({', '.join(jp)}):")
         table = m.table(jp)
-        lines += [f"  ({', '.join(js)}): {frac(table.weight(tuple(js)))}" for js in m.scenario.joint_states()]
+        lines += [f"  ({', '.join(js)}): {rational_to_str(table.weight(tuple(js)))}" for js in m.scenario.joint_states()]
     return "\n".join(lines)
 
 
-# Artifact type's qualified name -> (text, json, validate stats); None
-# where the generic form serves. The JSON of a model type is its wire
-# encoding, `modelio.ENCODERS`.
+# Type's qualified name -> text; `describe` renders a value class not
+# listed here field by field.
 RENDER = {
-    "ontolab.probcore.Dist": (None, _dist_json, None),
-    "ontolab.probcore.JointOutcome": (
-        None,
-        lambda ev: {"context": list(ev.context), "outcomes": list(ev.outcomes)},
-        None,
+    "builtins.tuple": _ctx_text,
+    "fractions.Fraction": rational_to_str,
+    "ontolab.probcore.Dist": dist_text,
+    "ontolab.probcore.JointOutcome": event_text,
+    "ontolab.localdecide.LocalWitness": lambda w: _weights_text("weights over global assignments:", w.dist.weights),
+    "ontolab.localdecide.NonlocalityCertificate": _certificate_text,
+    "ontolab.ontomodel.CanonicalLocalModel": lambda c: "\n".join(
+        _weights_text(f"preparation {p}:", d.weights) for p, d in c.weights.items()
     ),
-    "ontolab.localdecide.LocalWitness": (
-        lambda w: _weights_text("weights over global assignments:", w.dist.weights),
-        lambda w: {"weights": jsonable(w.dist)},
-        None,
-    ),
-    "ontolab.localdecide.NonlocalityCertificate": (_certificate_text, _certificate_json, None),
-    "ontolab.ontomodel.CanonicalLocalModel": (
-        lambda c: "\n".join(_weights_text(f"preparation {p}:", d.weights) for p, d in c.weights.items()),
-        None,
-        None,
-    ),
-    "ontolab.properties.Ontic": (
-        lambda c: "every state fixes a value: " + ", ".join(f"{lam} -> {v}" for lam, v in c.assignment.items()),
-        None,
-        None,
-    ),
-    "ontolab.properties.Epistemic": (
-        lambda c: f"state {c.state} is compatible with both {c.value_a!r} and {c.value_b!r}",
-        None,
-        None,
-    ),
-    "ontolab.prepscen.PreparationModel": (
-        _preparation_text,
-        None,
-        lambda m: f"{len(m.scenario.sites)} sites, {len(m.tables)} joint preparations",
-    ),
-    "ontolab.probcore.EmpiricalModel": (
-        None,
-        None,
-        lambda e: f"{len(e.scenario.measurements)} measurements, {len(e.scenario.cover)} contexts",
-    ),
-    "ontolab.ontomodel.OntologicalModel": (
-        None,
-        None,
-        lambda h: f"{len(h.ontic_space)} ontic states, {len(h.preparations)} preparations, "
-        f"{len(h.scenario.cover)} contexts",
-    ),
-    "ontolab.properties.Property": (
-        None,
-        None,
-        lambda p: f"{len(p.ontic_space)} ontic states, {len(p.values)} values",
-    ),
-    "ontolab.cli.modelio.DemoConfig": (None, None, lambda c: f"demo {c.demo}"),
+    "ontolab.properties.Ontic": lambda c: "every state fixes a value: "
+    + ", ".join(f"{lam} -> {v}" for lam, v in c.assignment.items()),
+    "ontolab.properties.Epistemic": lambda c: f"state {c.state} is compatible with both {c.value_a!r} and {c.value_b!r}",
+    "ontolab.prepscen.PreparationModel": _preparation_text,
 }
-_GENERIC = (None, None, None)
+
+# Model kind -> the size line `validate` prints.
+SIZES = {
+    "empirical": lambda e: f"{len(e.scenario.measurements)} measurements, {len(e.scenario.cover)} contexts",
+    "ontological": lambda h: f"{len(h.ontic_space)} ontic states, {len(h.preparations)} preparations, "
+    f"{len(h.scenario.cover)} contexts",
+    "preparation": lambda m: f"{len(m.scenario.sites)} sites, {len(m.tables)} joint preparations",
+    "property": lambda p: f"{len(p.ontic_space)} ontic states, {len(p.values)} values",
+    "quantum-demo-config": lambda c: f"demo {c.demo}",
+}
 
 
 def describe(obj) -> str:
     """Full text form of a witness or artifact: every cell, every context,
-    exact rationals. Possibly multi-line."""
+    exact rationals. Possibly multi-line, and empty for no witness. A value
+    class without an entry lists its fields, each in its `RENDER` text or
+    as `str` gives it (so a None field reads None)."""
     if obj is None:
         return ""
-    render = RENDER.get(type_name(obj), _GENERIC)[0]
+    render = RENDER.get(type_name(obj))
     if render is not None:
         return render(obj)
     names = getattr(obj, "__value_fields__", None)
-    if names is not None:
-        return ", ".join(f"{n} {_field_text(getattr(obj, n))}" for n in names)
-    return str(obj)
-
-
-def _field_text(val) -> str:
-    for typ, text in ((Dist, dist_text), (JointOutcome, event_text), (Fraction, frac), (tuple, _ctx_text)):
-        if isinstance(val, typ):
-            return text(val)
-    return str(val)
+    if names is None:
+        return str(obj)
+    values = [getattr(obj, n) for n in names]
+    return ", ".join(f"{n} {RENDER.get(type_name(v), str)(v)}" for n, v in zip(names, values))
 
 
 def jsonable(obj):
@@ -258,10 +209,7 @@ def jsonable(obj):
     contexts spelled out."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
-    if isinstance(obj, Fraction):
-        return rational_to_str(obj)
-    name = type_name(obj)
-    encode = ENCODERS.get(name) or RENDER.get(name, _GENERIC)[1]
+    encode = ENCODERS.get(type_name(obj))
     if encode is not None:
         return encode(obj)
     names = getattr(obj, "__value_fields__", None)
@@ -330,8 +278,7 @@ def _load(spec_arg: str) -> ModelFile:
 
 def cmd_validate(report: Report, _, args) -> None:
     mf, ms = timed(_load, args.model)
-    stats = RENDER[type_name(mf.payload)][2](mf.payload)
-    report.add("model", "valid", True, ms, detail=f"kind {mf.kind}: {stats}")
+    report.add("model", "valid", True, ms, detail=f"kind {mf.kind}: {SIZES[mf.kind](mf.payload)}")
 
 
 def cmd_check_ns(report: Report, e: EmpiricalModel, args) -> None:
@@ -466,14 +413,14 @@ def cmd_pbr(report: Report, _, args) -> None:
         ol.overlap_event_probability, m, {site: (ol.OVERLAP,) for site in m.scenario.sites}
     )
     values = sorted(set(probs.values()))
-    outcome = frac(values[0]) if len(values) == 1 else "varies"
+    outcome = rational_to_str(values[0]) if len(values) == 1 else "varies"
     report.add(
         "overlap-event",
         outcome,
         True,
         ms,
         detail="\n".join(
-            f"({', '.join(jp)}): {frac(w)}" for jp, w in sorted(probs.items())
+            f"({', '.join(jp)}): {rational_to_str(w)}" for jp, w in sorted(probs.items())
         ),
         artifact=probs,
     )
@@ -499,7 +446,7 @@ def _demo_epr(report: Report, quantum, args) -> None:
             m_a, m_b = res.masses
             detail = (
                 f"values {res.eigenvalue_a:+g} and {res.eigenvalue_b:+g} both carried, "
-                f"masses {frac(m_a)} and {frac(m_b)}"
+                f"masses {rational_to_str(m_a)} and {rational_to_str(m_b)}"
             )
         report.add(name, "ontic" if ontic else "epistemic", ontic, ms, detail=detail, artifact=res)
 
@@ -562,7 +509,7 @@ def _demo_chsh(report: Report, quantum, args) -> None:
         f"{float(s):.5f}",
         quantum.near_tsirelson(s),
         build_ms + ms,
-        detail=f"exact value {frac(s)}; 2*sqrt(2) is about {quantum.TSIRELSON:.5f}",
+        detail=f"exact value {rational_to_str(s)}; 2*sqrt(2) is about {quantum.TSIRELSON:.5f}",
         artifact=s,
     )
     report.check("parameter-independence", ol.is_parameter_independent, h)

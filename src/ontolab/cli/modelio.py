@@ -16,6 +16,13 @@ interpreter reads; and well-formed payloads whose numbers break a model
 invariant raise InvariantViolation carrying the underlying detail (for a
 bad distribution, the exact deficit).
 
+Three tables carry the dispatch. `KINDS` maps each kind, in the order
+above, to its payload's type and its decoder. `ENCODERS` maps a type to
+its JSON form: the model encoders that write model files, and the
+encoders of rationals, distributions, joint outcomes, witnesses and
+certificates that the CLI's `--json` reports use. A joint outcome is
+keyed by its outcomes joined with commas (`_event_key`) in both.
+
 Importing this module loads only `probcore`: each decoder imports the
 layer of the model it builds when it runs, and the type tables are keyed
 by qualified type name (`type_name`).
@@ -52,14 +59,6 @@ KIND_ONTOLOGICAL = "ontological"
 KIND_PREPARATION = "preparation"
 KIND_PROPERTY = "property"
 KIND_DEMO = "quantum-demo-config"
-
-KNOWN_KINDS = (
-    KIND_EMPIRICAL,
-    KIND_ONTOLOGICAL,
-    KIND_PREPARATION,
-    KIND_PROPERTY,
-    KIND_DEMO,
-)
 
 
 class ModelSyntaxError(OntolabError):
@@ -112,10 +111,9 @@ class ModelFile:
     format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
-        if self.kind not in KNOWN_KINDS:
+        if self.kind not in KINDS:
             raise InvariantViolation(f"unknown kind {self.kind!r}")
-        expected = _KIND_OF_TYPE[type_name(self.payload)]
-        if expected != self.kind:
+        if _kind_of(self.payload) != self.kind:
             raise InvariantViolation(
                 f"payload of type {type(self.payload).__name__} does not match kind {self.kind!r}"
             )
@@ -156,6 +154,14 @@ def _expect(obj: Any, typ: type, path: str):
     return obj
 
 
+def _require(obj: Any, path: str, *keys: str) -> dict:
+    _expect(obj, dict, path)
+    for key in keys:
+        if key not in obj:
+            raise SchemaError(path, f"missing key {key!r}")
+    return obj
+
+
 def _label(obj: Any, path: str) -> str:
     _expect(obj, str, path)
     if not obj or "," in obj:
@@ -188,10 +194,7 @@ def scenario_to_obj(s: MeasurementScenario) -> dict:
 
 
 def scenario_from_obj(obj: Any, path: str) -> MeasurementScenario:
-    _expect(obj, dict, path)
-    for key in ("measurements", "outcomes", "cover"):
-        if key not in obj:
-            raise SchemaError(path, f"missing key {key!r}")
+    _require(obj, path, "measurements", "outcomes", "cover")
     ms = _label_list(obj["measurements"], f"{path}/measurements")
     outs_obj = _expect(obj["outcomes"], dict, f"{path}/outcomes")
     outcomes = {}
@@ -223,6 +226,26 @@ def _event_key(event: JointOutcome) -> str:
     return ",".join(str(o) for o in event.outcomes)
 
 
+def distribution_to_obj(d: Dist) -> dict:
+    """A distribution over joint outcomes as its context and table, any
+    other as a plain table."""
+    first = next(iter(d.items()), (None,))[0]
+    if isinstance(first, JointOutcome):
+        return {"context": list(first.context), "table": _dist_to_obj(d, _event_key)}
+    return _dist_to_obj(d, str)
+
+
+def certificate_to_obj(c) -> dict:
+    return {
+        "coefficients": [
+            {"context": list(ev.context), "event": _event_key(ev), "coefficient": rational_to_str(v)}
+            for ev, v in c.coefficients.items()
+        ],
+        "model_value": rational_to_str(c.model_value),
+        "local_bound": rational_to_str(c.local_bound),
+    }
+
+
 def _event_from_key(key: str, context: tuple, path: str) -> JointOutcome:
     parts = key.split(",")
     if len(parts) != len(context):
@@ -245,9 +268,7 @@ def empirical_to_obj(e: EmpiricalModel) -> dict:
 
 
 def empirical_from_obj(obj: Any, path: str) -> EmpiricalModel:
-    _expect(obj, dict, path)
-    if "scenario" not in obj or "tables" not in obj:
-        raise SchemaError(path, "missing 'scenario' or 'tables'")
+    _require(obj, path, "scenario", "tables")
     scenario = scenario_from_obj(obj["scenario"], f"{path}/scenario")
     tables_obj = _expect(obj["tables"], dict, f"{path}/tables")
     tables = {}
@@ -282,10 +303,7 @@ def ontological_to_obj(h: OntologicalModel) -> dict:
 def ontological_from_obj(obj: Any, path: str) -> OntologicalModel:
     from ..ontomodel import OntologicalModel
 
-    _expect(obj, dict, path)
-    for key in ("scenario", "preparations", "ontic_space", "prep_dists", "responses"):
-        if key not in obj:
-            raise SchemaError(path, f"missing key {key!r}")
+    _require(obj, path, "scenario", "preparations", "ontic_space", "prep_dists", "responses")
     scenario = scenario_from_obj(obj["scenario"], f"{path}/scenario")
     preps = _label_list(obj["preparations"], f"{path}/preparations")
     states = _label_list(obj["ontic_space"], f"{path}/ontic_space")
@@ -327,10 +345,7 @@ def preparation_to_obj(m: PreparationModel) -> dict:
 def preparation_from_obj(obj: Any, path: str) -> PreparationModel:
     from ..prepscen import PreparationModel, PreparationScenario
 
-    _expect(obj, dict, path)
-    for key in ("sites", "preparations", "ontic_spaces", "tables"):
-        if key not in obj:
-            raise SchemaError(path, f"missing key {key!r}")
+    _require(obj, path, "sites", "preparations", "ontic_spaces", "tables")
     sites = _label_list(obj["sites"], f"{path}/sites")
     preps_obj = _expect(obj["preparations"], dict, f"{path}/preparations")
     spaces_obj = _expect(obj["ontic_spaces"], dict, f"{path}/ontic_spaces")
@@ -373,10 +388,7 @@ def property_to_obj(p: Property) -> dict:
 def property_from_obj(obj: Any, path: str) -> Property:
     from ..properties import Property
 
-    _expect(obj, dict, path)
-    for key in ("ontic_space", "values", "f"):
-        if key not in obj:
-            raise SchemaError(path, f"missing key {key!r}")
+    _require(obj, path, "ontic_space", "values", "f")
     states = _label_list(obj["ontic_space"], f"{path}/ontic_space")
     values = _label_list(obj["values"], f"{path}/values")
     f_obj = _expect(obj["f"], dict, f"{path}/f")
@@ -393,9 +405,7 @@ def demo_config_to_obj(c: DemoConfig) -> dict:
 
 
 def demo_config_from_obj(obj: Any, path: str) -> DemoConfig:
-    _expect(obj, dict, path)
-    if "demo" not in obj:
-        raise SchemaError(path, "missing key 'demo'")
+    _require(obj, path, "demo")
     demo = _expect(obj["demo"], str, f"{path}/demo")
     basis = obj.get("basis", "z")
     _expect(basis, str, f"{path}/basis")
@@ -413,46 +423,46 @@ def canonical_to_obj(c: CanonicalLocalModel) -> dict:
     """
     return {
         "scenario": scenario_to_obj(c.scenario),
-        "weights": {
-            p: {
-                ",".join(omega.outcomes): rational_to_str(w)
-                for omega, w in c.weights[p].items()
-            }
-            for p in c.weights
-        },
+        "weights": {p: _dist_to_obj(c.weights[p], _event_key) for p in c.weights},
     }
 
 
-# The one type -> wire-encoder dispatch, shared with the CLI's JSON output;
+# The one type -> JSON dispatch, for model files and the CLI's reports;
 # keyed by `type_name`.
 ENCODERS = {
+    "fractions.Fraction": rational_to_str,
+    "ontolab.probcore.Dist": distribution_to_obj,
+    "ontolab.probcore.JointOutcome": lambda ev: {"context": list(ev.context), "outcomes": list(ev.outcomes)},
     "ontolab.probcore.EmpiricalModel": empirical_to_obj,
     "ontolab.ontomodel.OntologicalModel": ontological_to_obj,
+    "ontolab.ontomodel.CanonicalLocalModel": canonical_to_obj,
     "ontolab.prepscen.PreparationModel": preparation_to_obj,
     "ontolab.properties.Property": property_to_obj,
+    "ontolab.localdecide.LocalWitness": lambda w: {"weights": distribution_to_obj(w.dist)},
+    "ontolab.localdecide.NonlocalityCertificate": certificate_to_obj,
     "ontolab.cli.modelio.DemoConfig": demo_config_to_obj,
-    "ontolab.ontomodel.CanonicalLocalModel": canonical_to_obj,
 }
 
-_KIND_OF_TYPE = {
-    "ontolab.probcore.EmpiricalModel": KIND_EMPIRICAL,
-    "ontolab.ontomodel.OntologicalModel": KIND_ONTOLOGICAL,
-    "ontolab.prepscen.PreparationModel": KIND_PREPARATION,
-    "ontolab.properties.Property": KIND_PROPERTY,
-    "ontolab.cli.modelio.DemoConfig": KIND_DEMO,
+# Kind -> (payload type name, decoder), in the order of the docstring.
+KINDS = {
+    KIND_EMPIRICAL: ("ontolab.probcore.EmpiricalModel", empirical_from_obj),
+    KIND_ONTOLOGICAL: ("ontolab.ontomodel.OntologicalModel", ontological_from_obj),
+    KIND_PREPARATION: ("ontolab.prepscen.PreparationModel", preparation_from_obj),
+    KIND_PROPERTY: ("ontolab.properties.Property", property_from_obj),
+    KIND_DEMO: ("ontolab.cli.modelio.DemoConfig", demo_config_from_obj),
 }
+_KIND_OF_TYPE = {name: kind for kind, (name, _) in KINDS.items()}
 
-_FROM_OBJ = {
-    KIND_EMPIRICAL: empirical_from_obj,
-    KIND_ONTOLOGICAL: ontological_from_obj,
-    KIND_PREPARATION: preparation_from_obj,
-    KIND_PROPERTY: property_from_obj,
-    KIND_DEMO: demo_config_from_obj,
-}
+
+def _kind_of(payload: Any) -> str:
+    kind = _KIND_OF_TYPE.get(type_name(payload))
+    if kind is None:
+        raise InvariantViolation(f"a payload of type {type(payload).__name__} is not a model")
+    return kind
 
 
 def model_file_for(payload: Payload) -> ModelFile:
-    return ModelFile(_KIND_OF_TYPE[type_name(payload)], payload)
+    return ModelFile(_kind_of(payload), payload)
 
 
 def serialize_model_file(mf: ModelFile) -> str:
@@ -495,9 +505,7 @@ def parse_model_file(text: Union[str, bytes]) -> ModelFile:
     if version != FORMAT_VERSION:
         raise SchemaError("document/format_version", f"expected {FORMAT_VERSION}, got {version!r}")
     kind = doc.get("kind")
-    if kind not in KNOWN_KINDS:
-        raise SchemaError("document/kind", f"expected one of {list(KNOWN_KINDS)}, got {kind!r}")
-    if "payload" not in doc:
-        raise SchemaError("document", "missing key 'payload'")
-    payload = _FROM_OBJ[kind](doc["payload"], "payload")
-    return ModelFile(kind, payload)
+    if kind not in KINDS:
+        raise SchemaError("document/kind", f"expected one of {list(KINDS)}, got {kind!r}")
+    _require(doc, "document", "payload")
+    return ModelFile(kind, KINDS[kind][1](doc["payload"], "payload"))

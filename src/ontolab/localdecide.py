@@ -131,22 +131,23 @@ def lp_feasibility(rows: Sequence[Sequence], rhs: Sequence) -> Union[Feasible, I
     if m == 0:
         return Feasible(tuple(Fraction(0) for _ in range(n)))
 
-    # orig is [A * diag(col_scale) | b * b_scale] in ints (see `_integer_rows`).
-    # Each row is copied once, sign-flipped to a non-negative right-hand
-    # side; the reduced costs for min sum-of-artificials with the
-    # artificial basis are minus the column sums of those copies, taken
-    # before the artificial identity block goes in (its costs cancel to
-    # zero). The cost row is the last tableau row; its last entry is minus
-    # the current objective value.
-    orig, col_scale, b_scale = _integer_rows(rows, rhs)
-    sign = [-1 if row[n] < 0 else 1 for row in orig]
-    tableau = [[-v for v in row] if s < 0 else row[:] for row, s in zip(orig, sign)]
-    cost = [-v for v in map(sum, zip(*tableau))]
+    # A and b are A * diag(col_scale) and b * b_scale in ints (see
+    # `_integer_rows`). Each tableau row is built once, as [A_i | e_i | b_i]
+    # sign-flipped to a non-negative right-hand side; the reduced costs for
+    # min sum-of-artificials with the artificial basis are minus the column
+    # sums of those rows, the artificial columns' cancelling to zero. The
+    # cost row is the last tableau row; its last entry is minus the current
+    # objective value.
+    A, b, col_scale, b_scale = _integer_rows(rows, rhs)
+    sign = [-1 if bi < 0 else 1 for bi in b]
     zeros = [0] * m
-    for i, row in enumerate(tableau):
-        row[n:n] = zeros
-        row[n + i] = 1
-    cost[n:n] = zeros
+    tableau = []
+    for i, (row, bi, s) in enumerate(zip(A, b, sign)):
+        t = [*row, *zeros, bi] if s > 0 else [*(-v for v in row), *zeros, -bi]
+        t[n + i] = 1
+        tableau.append(t)
+    cost = [-v for v in map(sum, zip(*tableau))]
+    cost[n : n + m] = zeros
     tableau.append(cost)
     dens = [1] * (m + 1)
     ncols = n + m
@@ -186,12 +187,11 @@ def lp_feasibility(rows: Sequence[Sequence], rhs: Sequence) -> Union[Feasible, I
     ynum = [sign[i] * (zden - zrow[n + i]) for i in range(m)]
     y = tuple(Fraction(v, zden) for v in ynum)
     # The Farkas conditions are cheap to confirm and guard the whole module.
-    # They are checked in integers: the rows of orig are those of [A | b]
-    # with each column scaled by a positive int, which keeps both signs.
-    combined = _column_sums(orig, ynum)
-    if any(v > 0 for v in combined[:n]):
+    # They are checked in integers: A and b are the caller's with each
+    # column scaled by a positive int, which keeps both signs.
+    if any(v > 0 for v in _column_sums(A, ynum)):
         raise InternalError("Farkas vector fails yA <= 0")
-    if combined[n] <= 0:
+    if sum(map(mul, b, ynum)) <= 0:
         raise InternalError("Farkas vector fails y.b > 0")
     return Infeasible(y)
 
@@ -202,13 +202,14 @@ def _column_sums(rows: Sequence[Sequence], weights: Sequence) -> list:
 
 
 def _integer_rows(rows: Sequence[Sequence], rhs: Sequence) -> tuple:
-    """[A * diag(col_scale) | b * b_scale] as int rows, with col_scale and b_scale.
+    """A * diag(col_scale) and b * b_scale as int rows and an int list, with
+    col_scale and b_scale.
 
     col_scale[j] is the lcm of column j's denominators (1 for a column of
     ints, as in the incidence rows) and b_scale that of b's, so the rows
     state A x = b in x_j = col_scale[j] * z_j / b_scale, a positive change of
     variable: every row starts over denominator 1. When every row sums to an
-    int, A is taken as ints and its rows are only copied.
+    int, A is the caller's rows themselves, not a copy.
     """
 
     def exact(vals):
@@ -225,11 +226,11 @@ def _integer_rows(rows: Sequence[Sequence], rhs: Sequence) -> tuple:
     except TypeError:
         ints = False
     if ints:
-        return [[*r, bi] for r, bi in zip(rows, b)], [1] * len(rows[0] if rows else ()), b_scale
+        return rows, b, [1] * len(rows[0] if rows else ()), b_scale
     rows = [exact(r) for r in rows]
     col_scale = [lcm(*(v.denominator for v in col)) for col in zip(*rows)]
-    out = [[*(v.numerator * (c // v.denominator) for v, c in zip(r, col_scale)), bi] for r, bi in zip(rows, b)]
-    return out, col_scale, b_scale
+    A = [[v.numerator * (c // v.denominator) for v, c in zip(r, col_scale)] for r in rows]
+    return A, b, col_scale, b_scale
 
 
 def _pivot(rows: list, dens: list, r: int, col: int) -> None:
@@ -513,7 +514,8 @@ def _solve_linear(rows: list, rhs: list) -> Optional[list]:
     row at or below the rank as pivot; free variables are zero."""
     m = len(rows)
     n = len(rows[0]) if m else 0
-    aug, col_scale, b_scale = _integer_rows(rows, rhs)
+    A, b, col_scale, b_scale = _integer_rows(rows, rhs)
+    aug = [[*row, bi] for row, bi in zip(A, b)]
     dens = [1] * m
     pivot_cols = []
     rank = 0

@@ -21,12 +21,12 @@ from ontolab import (
     Property,
     check_no_signalling,
 )
-from ontolab.probcore import InternalError, JointOutcome
-from ontolab.cli.main import RENDER, main
+from ontolab.probcore import Check, InternalError, JointOutcome
+from ontolab.cli.main import RENDER, describe, main
 from ontolab.cli.modelio import ENCODERS, model_file_for, parse_model_file, serialize_model_file
 from ontolab.cli import zoo
 from ontolab.cli.zoo import bell_scenario, pr_box
-from ontolab.prepscen import PBRParams, pbr_counterexample
+from ontolab.prepscen import DependenceWitness, PBRParams, pbr_counterexample
 
 F = Fraction
 
@@ -491,6 +491,15 @@ def test_every_render_and_encoder_key_names_its_class():
         module, _, name = key.rpartition(".")
         cls = getattr(importlib.import_module(module), name)
         assert f"{cls.__module__}.{cls.__qualname__}" == key
+
+
+def test_describe_spells_out_none_fraction_and_tuple_fields():
+    # Fields render through `RENDER` one level deep; None, having no entry,
+    # reads as `str` writes it, while a missing witness reads empty.
+    assert describe(None) == ""
+    assert describe(Check(False, None)) == "ok False, witness None"
+    witness = DependenceWitness(("p", "q"), ("x", "y"), F(1, 4), F(2, 6))
+    assert describe(witness) == "joint_preparation (p, q), joint_state (x, y), actual 1/4, product 1/3"
 
 
 IMPORT_PROBE = """

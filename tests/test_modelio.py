@@ -16,7 +16,9 @@ from ontolab import (
     Property,
     pbr_counterexample,
 )
+from ontolab.cli.main import jsonable
 from ontolab.cli.modelio import (
+    _event_from_key,
     DemoConfig,
     FORMAT_VERSION,
     KIND_EMPIRICAL,
@@ -30,6 +32,7 @@ from ontolab.cli.modelio import (
     serialize_model_file,
 )
 from ontolab.cli.zoo import fuzzy_coin_property, hardy_model, pr_box
+from ontolab.localdecide import NonlocalityCertificate
 
 from test_prepscen import dists, preparation_models
 
@@ -84,6 +87,11 @@ class TestRoundTrip:
         with pytest.raises(InvariantViolation):
             ModelFile("property", pr_box())
 
+    @pytest.mark.parametrize("make", [lambda: ModelFile(KIND_EMPIRICAL, 42), lambda: model_file_for(42)])
+    def test_a_non_model_payload_is_refused_by_its_type(self, make):
+        with pytest.raises(InvariantViolation, match="type int"):
+            make()
+
 
 # Comma-free labels that JSON and the comma-joined keys must carry intact.
 WIRE_LABELS = ("a", "b:c", "x y", "é")
@@ -133,6 +141,24 @@ def properties(draw):
 )
 def test_drawn_models_round_trip(payload):
     assert roundtrip(payload) == payload
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenarios(), st.data())
+def test_reports_key_joint_outcomes_as_model_files_do(sc, data):
+    """`--json` reports write a joint outcome under the key a model file
+    uses, so the model-file decoder reads it back as the same outcome."""
+    events = [ev for ctx in sc.cover for ev in sc.events(ctx)]
+    picked = data.draw(st.lists(st.sampled_from(events), min_size=1, unique=True))
+    cert = NonlocalityCertificate({ev: F(i + 1) for i, ev in enumerate(picked)}, F(1), F(0))
+    coefficients = jsonable(cert)["coefficients"]
+    read = [_event_from_key(c["event"], tuple(c["context"]), "event") for c in coefficients]
+    assert read == list(cert.coefficients)
+
+    d = data.draw(dists(sc.events(data.draw(st.sampled_from(sc.cover)))))
+    obj = jsonable(d)
+    table = {_event_from_key(k, tuple(obj["context"]), "table"): parse_rational(v) for k, v in obj["table"].items()}
+    assert table == dict(d.items())
 
 
 class TestParseRational:
