@@ -32,7 +32,7 @@ made an artifact. `RENDER` maps a type to its text, and `describe`, the
 one text dispatch, spells out any other value class field by field
 through it. `modelio.ENCODERS` maps a type to its JSON, the same form a
 model file uses, and `jsonable` reads it. `SIZES` holds the one-line
-size summary `validate` prints for each kind.
+size summary `validate` prints for each kind in `modelio.KINDS`.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def timed(fn, *args) -> tuple:
     return result, (time.perf_counter() - t0) * 1000.0
 
 
-@_value_class(frozen=False)
+@_value_class
 class Verdict:
     check: str
     outcome: str
@@ -89,7 +89,7 @@ class Verdict:
     decision: bool = False
 
 
-@_value_class(frozen=False)
+@_value_class
 class Report:
     verdicts: list
 
@@ -183,7 +183,6 @@ SIZES = {
     f"{len(h.scenario.cover)} contexts",
     "preparation": lambda m: f"{len(m.scenario.sites)} sites, {len(m.tables)} joint preparations",
     "property": lambda p: f"{len(p.ontic_space)} ontic states, {len(p.values)} values",
-    "quantum-demo-config": lambda c: f"demo {c.demo}",
 }
 
 

@@ -1,12 +1,11 @@
 """JSON encoding of models, with strict parsing.
 
 Wire format: a model file is an object with "format_version" (currently
-1), "kind" (one of empirical, ontological, preparation, property,
-quantum-demo-config), and "payload". Rationals are strings "num/den" (or
-"num" for integers) in ASCII digits; distributions are maps from encoded
-events to such strings; composite keys join labels with commas, so labels
-themselves are non-empty strings without commas. No object may repeat a
-key.
+1), "kind" (one of empirical, ontological, preparation, property), and
+"payload". Rationals are strings "num/den" (or "num" for integers) in
+ASCII digits; distributions are maps from encoded events to such strings;
+composite keys join labels with commas, so labels themselves are
+non-empty strings without commas. No object may repeat a key.
 
 Parse failures are graded: malformed JSON, or bytes that are not UTF-8,
 raise ModelSyntaxError with line and column; structural mismatches raise
@@ -58,7 +57,6 @@ KIND_EMPIRICAL = "empirical"
 KIND_ONTOLOGICAL = "ontological"
 KIND_PREPARATION = "preparation"
 KIND_PROPERTY = "property"
-KIND_DEMO = "quantum-demo-config"
 
 
 class ModelSyntaxError(OntolabError):
@@ -78,28 +76,7 @@ class SchemaError(OntolabError):
         super().__init__(f"{path}: {detail}")
 
 
-DEMOS = ("chsh", "steering", "epr")
-BASES = ("z", "x")
-
-
-@_value_class
-class DemoConfig:
-    """File-borne parameters for the quantum demos."""
-
-    demo: str
-    basis: str = "z"
-    max_denominator: int = 10**6
-
-    def __post_init__(self):
-        if self.demo not in DEMOS:
-            raise InvariantViolation(f"unknown demo {self.demo!r}; pick one of {DEMOS}")
-        if self.basis not in BASES:
-            raise InvariantViolation(f"basis must be one of {BASES}")
-        if not isinstance(self.max_denominator, int) or self.max_denominator < 1:
-            raise InvariantViolation("max_denominator must be a positive integer")
-
-
-Payload = Union[EmpiricalModel, "OntologicalModel", "PreparationModel", "Property", DemoConfig]
+Payload = Union[EmpiricalModel, "OntologicalModel", "PreparationModel", "Property"]
 
 
 @_value_class
@@ -257,6 +234,19 @@ def _context_key(ctx: tuple) -> str:
     return ",".join(ctx)
 
 
+def _context_tables(obj: Any, path: str) -> dict:
+    """Tables keyed by comma-joined contexts, each key sorted into its
+    context; a context given twice, in any label order, is refused."""
+    _expect(obj, dict, path)
+    tables = {}
+    for key, val in obj.items():
+        ctx = tuple(sorted(key.split(",")))
+        if ctx in tables:
+            raise SchemaError(f"{path}/{key}", "duplicate context")
+        tables[ctx] = _dist_from_obj(val, f"{path}/{key}", lambda k, p, c=ctx: _event_from_key(k, c, p))
+    return tables
+
+
 def empirical_to_obj(e: EmpiricalModel) -> dict:
     return {
         "scenario": scenario_to_obj(e.scenario),
@@ -270,17 +260,7 @@ def empirical_to_obj(e: EmpiricalModel) -> dict:
 def empirical_from_obj(obj: Any, path: str) -> EmpiricalModel:
     _require(obj, path, "scenario", "tables")
     scenario = scenario_from_obj(obj["scenario"], f"{path}/scenario")
-    tables_obj = _expect(obj["tables"], dict, f"{path}/tables")
-    tables = {}
-    for key, val in tables_obj.items():
-        ctx = tuple(sorted(key.split(",")))
-        if ctx in tables:
-            raise SchemaError(f"{path}/tables/{key}", "duplicate context")
-        tables[ctx] = _dist_from_obj(
-            val,
-            f"{path}/tables/{key}",
-            lambda k, p, c=ctx: _event_from_key(k, c, p),
-        )
+    tables = _context_tables(obj["tables"], f"{path}/tables")
     with _guard(path):
         return EmpiricalModel(scenario, tables)
 
@@ -313,18 +293,11 @@ def ontological_from_obj(obj: Any, path: str) -> OntologicalModel:
         for p, val in pd_obj.items()
     }
     resp_obj = _expect(obj["responses"], dict, f"{path}/responses")
-    responses = {}
-    for lam, by_ctx in resp_obj.items():
-        _expect(by_ctx, dict, f"{path}/responses/{lam}")
-        for key, val in by_ctx.items():
-            ctx = tuple(sorted(key.split(",")))
-            if (lam, ctx) in responses:
-                raise SchemaError(f"{path}/responses/{lam}/{key}", "duplicate context")
-            responses[(lam, ctx)] = _dist_from_obj(
-                val,
-                f"{path}/responses/{lam}/{key}",
-                lambda k, p, c=ctx: _event_from_key(k, c, p),
-            )
+    responses = {
+        (lam, ctx): d
+        for lam, by_ctx in resp_obj.items()
+        for ctx, d in _context_tables(by_ctx, f"{path}/responses/{lam}").items()
+    }
     with _guard(path):
         return OntologicalModel(scenario, tuple(preps), tuple(states), prep_dists, responses)
 
@@ -400,21 +373,6 @@ def property_from_obj(obj: Any, path: str) -> Property:
         return Property(tuple(states), tuple(values), dists)
 
 
-def demo_config_to_obj(c: DemoConfig) -> dict:
-    return {"demo": c.demo, "basis": c.basis, "max_denominator": c.max_denominator}
-
-
-def demo_config_from_obj(obj: Any, path: str) -> DemoConfig:
-    _require(obj, path, "demo")
-    demo = _expect(obj["demo"], str, f"{path}/demo")
-    basis = obj.get("basis", "z")
-    _expect(basis, str, f"{path}/basis")
-    maxden = obj.get("max_denominator", 10**6)
-    _expect(maxden, int, f"{path}/max_denominator")
-    with _guard(path):
-        return DemoConfig(demo, basis, maxden)
-
-
 def canonical_to_obj(c: CanonicalLocalModel) -> dict:
     """Canonical local model: scenario plus weights over assignment strings.
 
@@ -440,7 +398,6 @@ ENCODERS = {
     "ontolab.properties.Property": property_to_obj,
     "ontolab.localdecide.LocalWitness": lambda w: {"weights": distribution_to_obj(w.dist)},
     "ontolab.localdecide.NonlocalityCertificate": certificate_to_obj,
-    "ontolab.cli.modelio.DemoConfig": demo_config_to_obj,
 }
 
 # Kind -> (payload type name, decoder), in the order of the docstring.
@@ -449,7 +406,6 @@ KINDS = {
     KIND_ONTOLOGICAL: ("ontolab.ontomodel.OntologicalModel", ontological_from_obj),
     KIND_PREPARATION: ("ontolab.prepscen.PreparationModel", preparation_from_obj),
     KIND_PROPERTY: ("ontolab.properties.Property", property_from_obj),
-    KIND_DEMO: ("ontolab.cli.modelio.DemoConfig", demo_config_from_obj),
 }
 _KIND_OF_TYPE = {name: kind for kind, (name, _) in KINDS.items()}
 

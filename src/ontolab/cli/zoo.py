@@ -2,8 +2,8 @@
 
 Every entry carries its expected verdicts as fixture data, so the test
 suite and the CLI can both replay them. `zoo:<name>` pseudo-paths resolve
-here; setting ONTOLAB_ZOO_DIR lets a directory of JSON files shadow the
-built-ins by name. Each builder imports the layer of the model it builds
+here, to the built-in of that name only; a model kept in a JSON file is
+given by its path. Each builder imports the layer of the model it builds
 when it runs, so listing the zoo or loading an empirical entry loads no
 layer beyond `probcore`.
 """
@@ -13,9 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 from fractions import Fraction
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
 from ..probcore import Dist, EmpiricalModel, JointOutcome, MeasurementScenario, OntolabError, _value_class
@@ -27,7 +25,6 @@ from .modelio import (
     ModelFile,
     Payload,
     model_file_for,
-    parse_model_file,
 )
 
 if TYPE_CHECKING:
@@ -36,7 +33,7 @@ if TYPE_CHECKING:
 
 
 class UnknownZooEntry(OntolabError):
-    """No built-in or overridden entry by that name."""
+    """No built-in entry by that name."""
 
 
 @_value_class
@@ -311,17 +308,11 @@ def load_model(
 ) -> ModelFile:
     """Resolve a zoo name to a model file.
 
-    A JSON file <name>.json under ONTOLAB_ZOO_DIR wins over the built-in
-    when no knob is given. `q` applies only to pbr-q and `max_denominator`
-    only to the two quantum builds (chsh-quantum, psi-complete-chsh); a
-    knob given to any other entry raises OntolabError.
+    `q` applies only to pbr-q and `max_denominator` only to the two
+    quantum builds (chsh-quantum, psi-complete-chsh); a knob given to any
+    other entry raises OntolabError.
     """
     knobs = {k: v for k, v in (("q", q), ("max_denominator", max_denominator)) if v is not None}
-    override_dir = os.environ.get("ONTOLAB_ZOO_DIR")
-    if override_dir and not knobs:
-        path = Path(override_dir) / f"{name}.json"
-        if path.is_file():
-            return parse_model_file(path.read_bytes())
     entry = get_entry(name)
     stray = [k for k in knobs if k not in entry.knobs]
     if stray:

@@ -55,6 +55,7 @@ from typing import Any, Mapping, Optional, Sequence, Union
 
 from .probcore import (
     Check,
+    DimensionMismatch,
     Dist,
     EmpiricalModel,
     InternalError,
@@ -71,10 +72,6 @@ from .probcore import (
 # seeds; at (5,6,2) one local mixture took minutes, Bland's rule stalling
 # for thousands of pivots (README).
 DEFAULT_ASSIGNMENT_CAP = 1024
-
-
-class DimensionMismatch(OntolabError):
-    """Constraint matrix and right-hand side shapes disagree."""
 
 
 class Signalling(OntolabError):

@@ -67,30 +67,35 @@ class SumNotOne(InvariantViolation):
         super().__init__(f"weights sum to {self.total}, deficit {self.deficit}")
 
 
+class DimensionMismatch(OntolabError):
+    """Operands have shapes that do not fit together: a constraint matrix
+    and its right-hand side, or states and operators of different
+    dimension."""
+
+
 class NotASubcontext(OntolabError):
     """Requested restriction target is not a non-empty sub-context."""
 
 
-def _value_class(cls=None, /, *, frozen=True, eq=True, order=False):
+def _value_class(cls=None, /, *, order=False):
     """Class decorator for the package's value types.
 
     The annotated names of the class body are the fields, in order; a class
     attribute of the same name is that field's default. The decorator adds
-    what ``dataclasses.dataclass`` with the same flags adds, and behaves
-    alike: ``__init__`` takes the fields by position or keyword and then
-    calls ``self.__post_init__()`` if the class has one, looked up at each
-    construction; ``__repr__``; with ``eq``, ``__eq__`` on the fields
+    what a frozen ``dataclasses.dataclass`` with the same ``order`` adds,
+    and behaves alike: ``__init__`` takes the fields by position or
+    keyword and then calls ``self.__post_init__()`` if the class has one,
+    looked up at each construction; ``__repr__``; ``__eq__`` on the fields
     between instances of the same class (a lone field is compared bare, not
     as a 1-tuple, which differs only for a value unequal to itself, such as
-    a NaN); with ``frozen``, fields that cannot be assigned or deleted and,
-    with ``eq``, the hash of the tuple of the fields (a mutable class with
-    ``eq`` is unhashable); with ``order``, the four orderings. The methods
+    a NaN); fields that cannot be assigned or deleted; the hash of the
+    tuple of the fields; with ``order``, the four orderings. The methods
     are closures over the field names and one ``operator.attrgetter``, so
     no source is compiled and neither ``dataclasses`` nor ``inspect`` is
     imported. The field names are kept as ``__value_fields__``.
     """
     if cls is None:
-        return lambda c: _value_class(c, frozen=frozen, eq=eq, order=order)
+        return lambda c: _value_class(c, order=order)
     names = tuple(cls.__dict__.get("__annotations__", ()))
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
     get = operator.attrgetter(*names)
@@ -136,20 +141,18 @@ def _value_class(cls=None, /, *, frozen=True, eq=True, order=False):
     def refuse(self, name, *value):
         raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
-    methods = {"__value_fields__": names, "__init__": __init__, "__repr__": __repr__}
-    if eq:
-        methods["__eq__"] = compare(operator.eq)
-        if not frozen:
-            methods["__hash__"] = None
-        elif len(names) == 1:
-            methods["__hash__"] = lambda self: hash((get(self),))
-        else:
-            methods["__hash__"] = lambda self: hash(get(self))
+    methods = {
+        "__value_fields__": names,
+        "__init__": __init__,
+        "__repr__": __repr__,
+        "__eq__": compare(operator.eq),
+        "__hash__": (lambda self: hash((get(self),))) if len(names) == 1 else (lambda self: hash(get(self))),
+        "__setattr__": refuse,
+        "__delattr__": refuse,
+    }
     if order:
         for name in ("lt", "le", "gt", "ge"):
             methods[f"__{name}__"] = compare(getattr(operator, name))
-    if frozen:
-        methods.update(__setattr__=refuse, __delattr__=refuse)
     for name, value in methods.items():
         setattr(cls, name, value)
     return cls

@@ -36,6 +36,7 @@ from numbers import Number
 from typing import Any, Mapping, Sequence, Union
 
 from .probcore import (
+    DimensionMismatch,
     Dist,
     InvariantViolation,
     InternalError,
@@ -46,10 +47,6 @@ from .probcore import (
     _value_class,
 )
 from .ontomodel import OntologicalModel
-
-
-class DimensionMismatch(OntolabError):
-    """Operands act on spaces of different dimension."""
 
 
 class KindMismatch(OntolabError):
@@ -178,7 +175,7 @@ def _eigh(m: tuple) -> list:
     raise InternalError(f"Jacobi eigensolver did not converge in {_JACOBI_SWEEPS} sweeps")
 
 
-@_value_class(eq=False)
+@_value_class
 class Ket:
     """Unit vector; the norm must be 1 within the normalization tolerance."""
 
@@ -200,7 +197,7 @@ class Ket:
         return Ket(values)
 
 
-@_value_class(eq=False)
+@_value_class
 class DensityMatrix:
     """Hermitian, unit-trace, positive semi-definite within tolerances."""
 
@@ -227,7 +224,7 @@ class DensityMatrix:
         return DensityMatrix(_outer(k.amplitudes, k.amplitudes))
 
 
-@_value_class(eq=False)
+@_value_class
 class Povm:
     """Labelled effects: positive semi-definite, summing to the identity."""
 
@@ -261,7 +258,7 @@ class Povm:
         return tuple(label for label, _ in self.effects)
 
 
-@_value_class(eq=False)
+@_value_class
 class Observable:
     """Hermitian matrix with its spectral decomposition.
 
@@ -526,6 +523,14 @@ def _consistent_joint(ctx, pools, target, marginals, max_denominator):
     }
 
 
+def _axis_floats(table: Mapping[tuple, float], i: int, outcomes: Sequence) -> dict:
+    """Float marginal of axis ``i`` of a table keyed by outcome tuples."""
+    axis = {o: 0.0 for o in outcomes}
+    for label, p in table.items():
+        axis[label[i]] += p
+    return axis
+
+
 def psi_complete_model(
     preps: Mapping[str, Ket],
     measurements: Mapping[tuple, Povm],
@@ -547,6 +552,8 @@ def psi_complete_model(
         given = tuple(given_ctx)
         order = sorted(range(len(given)), key=lambda i: given[i])
         ctx = tuple(given[i] for i in order)
+        if ctx in contexts:
+            raise InvariantViolation(f"context {ctx} is given twice")
         relabel = {}
         for label in povm.labels:
             flat = _flat(label)
@@ -584,33 +591,26 @@ def psi_complete_model(
         exact_marginals = {}
         for m in scenario.measurements:
             ctx = scenario.contexts_with(m)[0]
-            i = ctx.index(m)
-            floats = {o: 0.0 for o in outcome_order[m]}
-            for label, p in raw[ctx].items():
-                floats[label[i]] += p
+            floats = _axis_floats(raw[ctx], ctx.index(m), outcome_order[m])
             float_marginals[m] = floats
             exact_marginals[m] = rationalize(floats, max_denominator)
         for ctx in scenario.cover:
             table = raw[ctx]
-            consistent = True
-            for i, m in enumerate(ctx):
-                axis = {o: 0.0 for o in outcome_order[m]}
-                for label, p in table.items():
-                    axis[label[i]] += p
-                drift = max(abs(axis[o] - float_marginals[m][o]) for o in outcome_order[m])
-                if drift > MARGINAL_TOL:
-                    consistent = False
-                    break
-            if consistent:
+            drift = max(
+                abs(p - float_marginals[m][o])
+                for i, m in enumerate(ctx)
+                for o, p in _axis_floats(table, i, outcome_order[m]).items()
+            )
+            if drift > MARGINAL_TOL:
+                snapped = rationalize(table, max_denominator)
+                dist = snapped.map_elements(lambda label: JointOutcome.of(ctx, label))
+            else:
                 joint = _consistent_joint(
                     ctx, outcome_order, table, exact_marginals, max_denominator
                 )
                 dist = Dist(
                     {JointOutcome.of(ctx, combo): w for combo, w in joint.items()}
                 )
-            else:
-                snapped = rationalize(table, max_denominator)
-                dist = snapped.map_elements(lambda label: JointOutcome.of(ctx, label))
             responses[(name, ctx)] = dist
 
     names = tuple(_ordered(preps))

@@ -297,14 +297,21 @@ class TestInputErrors:
         assert code == 2
         assert "appears twice" in err
 
-    def test_not_utf8(self, cli, tmp_path, monkeypatch):
+    def test_not_utf8(self, cli, tmp_path):
         path = tmp_path / "prbox.json"
         path.write_bytes(b"\xff\xfe{\x00}\x00")
-        monkeypatch.setenv("ONTOLAB_ZOO_DIR", str(tmp_path))
-        for spec in (str(path), "zoo:prbox"):
-            code, _, err = cli("validate", spec)
-            assert code == 2
-            assert "line 1, column 1: not UTF-8" in err
+        code, _, err = cli("validate", str(path))
+        assert code == 2
+        assert "line 1, column 1: not UTF-8" in err
+
+    def test_demo_config_is_not_a_model_kind(self, cli, tmp_path):
+        """The demos take their parameters from flags, so no file kind
+        carries them."""
+        path = tmp_path / "demo.json"
+        path.write_text('{"format_version": 1, "kind": "quantum-demo-config", "payload": {"demo": "chsh"}}')
+        code, _, err = cli("validate", str(path))
+        assert code == 2
+        assert "document/kind" in err
 
     def test_wrong_kind(self, cli):
         code, _, err = cli("check-ns", "zoo:fuzzy-coin-property")

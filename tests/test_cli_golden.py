@@ -81,8 +81,7 @@ def test_golden_covers_every_case(golden):
 
 
 @pytest.mark.parametrize("argv", argv_cases(), ids=" ".join)
-def test_cli_matches_golden(argv, golden, monkeypatch):
-    monkeypatch.delenv("ONTOLAB_ZOO_DIR", raising=False)
+def test_cli_matches_golden(argv, golden):
     assert run(argv) == golden[" ".join(argv)]
 
 

@@ -19,7 +19,6 @@ from ontolab import (
 from ontolab.cli.main import jsonable
 from ontolab.cli.modelio import (
     _event_from_key,
-    DemoConfig,
     FORMAT_VERSION,
     KIND_EMPIRICAL,
     ModelFile,
@@ -70,10 +69,6 @@ class TestRoundTrip:
     def test_property(self):
         p = fuzzy_coin_property()
         assert roundtrip(p) == p
-
-    def test_demo_config(self):
-        c = DemoConfig("steering", "x", 500)
-        assert roundtrip(c) == c
 
     def test_serialized_form_is_stable(self):
         text = serialize_model_file(model_file_for(pr_box()))
@@ -256,6 +251,17 @@ class TestErrorGrading:
             parse_model_file(json.dumps(doc))
         assert "duplicate context" in str(e.value)
 
+    def test_duplicate_response_context_keys(self):
+        doc = doc_for(small_ontological())
+        state, by_ctx = next(iter(doc["payload"]["responses"].items()))
+        first = next(iter(by_ctx))
+        a, b = first.split(",")
+        by_ctx[f"{b},{a}"] = by_ctx[first]
+        with pytest.raises(SchemaError) as e:
+            parse_model_file(json.dumps(doc))
+        assert e.value.path == f"payload/responses/{state}/{b},{a}"
+        assert "duplicate context" in str(e.value)
+
     def test_weights_not_summing_to_one(self):
         doc = doc_for(pr_box())
         table = next(iter(doc["payload"]["tables"].values()))
@@ -278,29 +284,3 @@ class TestErrorGrading:
     def test_top_level_must_be_an_object(self):
         with pytest.raises(SchemaError):
             parse_model_file("[1, 2]")
-
-
-class TestDemoConfig:
-    def test_defaults(self):
-        c = DemoConfig("chsh")
-        assert c.basis == "z"
-        assert c.max_denominator == 10**6
-
-    def test_unknown_demo(self):
-        with pytest.raises(InvariantViolation):
-            DemoConfig("teleport")
-
-    def test_bad_basis(self):
-        with pytest.raises(InvariantViolation):
-            DemoConfig("steering", basis="y")
-
-    def test_bad_denominator(self):
-        with pytest.raises(InvariantViolation):
-            DemoConfig("chsh", max_denominator=0)
-
-    def test_parse_applies_defaults(self):
-        mf = parse_model_file(
-            '{"format_version": 1, "kind": "quantum-demo-config",'
-            ' "payload": {"demo": "epr"}}'
-        )
-        assert mf.payload == DemoConfig("epr")

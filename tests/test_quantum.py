@@ -352,6 +352,16 @@ class TestPsiCompleteModel:
         with pytest.raises(InvariantViolation):
             psi_complete_model({"s": qubit0()}, {("m",): povm})
 
+    def test_a_context_given_in_two_label_orders_is_refused(self):
+        """Both keys sort to ("a", "b"); keeping either POVM would drop the
+        other silently."""
+        meas = {
+            ("a", "b"): tensor(z_basis_povm(), z_basis_povm()),
+            ("b", "a"): tensor(x_basis_povm(), z_basis_povm()),
+        }
+        with pytest.raises(InvariantViolation, match=r"context \('a', 'b'\) is given twice"):
+            psi_complete_model({"pair": bell_phi_plus()}, meas)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             psi_complete_model(

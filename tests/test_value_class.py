@@ -1,8 +1,8 @@
 """`probcore._value_class` against stdlib `dataclasses` as an oracle.
 
-Each twin below is declared with `dataclasses.dataclass` and the flags the
-class had when it was a dataclass, with the same name, fields, defaults and
-`__post_init__`. The twins are the reference: repr, equality, hash,
+Each twin below is declared with `dataclasses.dataclass(frozen=True)`, and
+`order=True` where the class is ordered, with the same name, fields,
+defaults and `__post_init__`. The twins are the reference: repr, equality, hash,
 ordering, frozen fields and argument errors must come out the same for the
 package's class and its twin.
 """
@@ -39,7 +39,7 @@ class Check:
     witness: Any = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Verdict:
     check: str
     outcome: str
@@ -50,7 +50,7 @@ class Verdict:
     decision: bool = False
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Ket:
     amplitudes: tuple
     __post_init__ = quantum.Ket.__post_init__

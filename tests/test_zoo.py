@@ -34,7 +34,6 @@ from ontolab.cli.modelio import (
     KIND_ONTOLOGICAL,
     KIND_PREPARATION,
     KIND_PROPERTY,
-    model_file_for,
     parse_model_file,
     serialize_model_file,
 )
@@ -191,26 +190,6 @@ class TestLoadModel:
     def test_knobs_apply_only_to_their_entries(self, name, knobs):
         with pytest.raises(OntolabError, match="does not take"):
             load_model(name, **knobs)
-
-    def test_override_dir_shadows_builtin(self, tmp_path, monkeypatch):
-        from ontolab.cli.zoo import deterministic_box
-
-        shadow = deterministic_box("1111")
-        (tmp_path / "prbox.json").write_text(
-            serialize_model_file(model_file_for(shadow))
-        )
-        monkeypatch.setenv("ONTOLAB_ZOO_DIR", str(tmp_path))
-        assert load_model("prbox").payload == shadow
-        # files only shadow plain lookups; knobs always use the built-in
-        knobbed = load_model("pbr-q", q=F(1, 2))
-        assert knobbed.payload.table(("psi0", "psi0")).weight(
-            ("outside", "outside")
-        ) == 0
-
-    def test_override_dir_ignored_when_file_missing(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ONTOLAB_ZOO_DIR", str(tmp_path))
-        mf = load_model("hardy")
-        assert mf.payload == hardy_model()
 
     def test_exports_round_trip(self):
         for name in ("prbox", "psi-complete-chsh", "fuzzy-coin-property", "pbr-q"):
