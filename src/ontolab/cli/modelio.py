@@ -22,6 +22,18 @@ encoders of rationals, distributions, joint outcomes, witnesses and
 certificates that the CLI's `--json` reports use. A joint outcome is
 keyed by its outcomes joined with commas (`_event_key`) in both.
 
+One codec carries the composite keys: `_key` is the one join of labels
+with commas, for contexts, events, joint preparations and joint states,
+and `_parts` the one split, which refuses a key that does not hold one
+label per context measurement or per site. `_label_lists` reads the three
+maps from a label to a label list: a scenario's outcomes and a
+preparation model's preparations and ontic spaces.
+
+A `ModelFile` holds only its payload. Its `kind` is read off the
+payload's type, so a tag that disagrees with the payload cannot be built,
+and every file is written with format version `FORMAT_VERSION`;
+`model_file_for` is another name for the class.
+
 Importing this module loads only `probcore`: each decoder imports the
 layer of the model it builds when it runs, and the type tables are keyed
 by qualified type name (`type_name`).
@@ -81,21 +93,16 @@ Payload = Union[EmpiricalModel, "OntologicalModel", "PreparationModel", "Propert
 
 @_value_class
 class ModelFile:
-    """A kind tag, a format version, and the decoded payload."""
+    """A decoded model; its kind is read off the payload's type."""
 
-    kind: str
     payload: Payload
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InvariantViolation(f"unknown kind {self.kind!r}")
-        if _kind_of(self.payload) != self.kind:
-            raise InvariantViolation(
-                f"payload of type {type(self.payload).__name__} does not match kind {self.kind!r}"
-            )
-        if self.format_version != FORMAT_VERSION:
-            raise InvariantViolation(f"unsupported format_version {self.format_version}")
+        _kind_of(self.payload)
+
+    @property
+    def kind(self) -> str:
+        return _kind_of(self.payload)
 
 
 def type_name(obj: Any) -> str:
@@ -151,6 +158,25 @@ def _label_list(obj: Any, path: str) -> list:
     return [_label(x, f"{path}[{i}]") for i, x in enumerate(obj)]
 
 
+def _label_lists(obj: Any, path: str) -> dict:
+    """A map from labels to label lists, each list as a tuple."""
+    _expect(obj, dict, path)
+    return {_label(k, f"{path}/{k}"): tuple(_label_list(v, f"{path}/{k}")) for k, v in obj.items()}
+
+
+def _key(parts) -> str:
+    """The one join of labels into a composite key."""
+    return ",".join(map(str, parts))
+
+
+def _parts(key: str, n: int, path: str, what: str) -> tuple:
+    """The one split of a composite key, which must hold ``n`` labels."""
+    parts = tuple(key.split(","))
+    if len(parts) != n:
+        raise SchemaError(path, f"key {key!r} does not match {what}")
+    return parts
+
+
 @contextmanager
 def _guard(path: str):
     """Re-raise construction-time invariant failures with the path attached."""
@@ -173,11 +199,7 @@ def scenario_to_obj(s: MeasurementScenario) -> dict:
 def scenario_from_obj(obj: Any, path: str) -> MeasurementScenario:
     _require(obj, path, "measurements", "outcomes", "cover")
     ms = _label_list(obj["measurements"], f"{path}/measurements")
-    outs_obj = _expect(obj["outcomes"], dict, f"{path}/outcomes")
-    outcomes = {}
-    for m, val in outs_obj.items():
-        _label(m, f"{path}/outcomes key")
-        outcomes[m] = tuple(_label_list(val, f"{path}/outcomes/{m}"))
+    outcomes = _label_lists(obj["outcomes"], f"{path}/outcomes")
     cover_obj = _expect(obj["cover"], list, f"{path}/cover")
     cover = [tuple(_label_list(c, f"{path}/cover[{i}]")) for i, c in enumerate(cover_obj)]
     if set(ms) != set(outcomes):
@@ -200,7 +222,7 @@ def _dist_from_obj(obj: Any, path: str, key_from) -> Dist:
 
 
 def _event_key(event: JointOutcome) -> str:
-    return ",".join(str(o) for o in event.outcomes)
+    return _key(event.outcomes)
 
 
 def distribution_to_obj(d: Dist) -> dict:
@@ -224,14 +246,7 @@ def certificate_to_obj(c) -> dict:
 
 
 def _event_from_key(key: str, context: tuple, path: str) -> JointOutcome:
-    parts = key.split(",")
-    if len(parts) != len(context):
-        raise SchemaError(path, f"event {key!r} does not match context {context}")
-    return JointOutcome.of(context, tuple(parts))
-
-
-def _context_key(ctx: tuple) -> str:
-    return ",".join(ctx)
+    return JointOutcome.of(context, _parts(key, len(context), path, f"context {context}"))
 
 
 def _context_tables(obj: Any, path: str) -> dict:
@@ -251,7 +266,7 @@ def empirical_to_obj(e: EmpiricalModel) -> dict:
     return {
         "scenario": scenario_to_obj(e.scenario),
         "tables": {
-            _context_key(ctx): _dist_to_obj(e.tables[ctx], _event_key)
+            _key(ctx): _dist_to_obj(e.tables[ctx], _event_key)
             for ctx in e.scenario.cover
         },
     }
@@ -268,7 +283,7 @@ def empirical_from_obj(obj: Any, path: str) -> EmpiricalModel:
 def ontological_to_obj(h: OntologicalModel) -> dict:
     responses: dict = {}
     for (lam, ctx), d in h.responses.items():
-        responses.setdefault(str(lam), {})[_context_key(ctx)] = _dist_to_obj(d, _event_key)
+        responses.setdefault(str(lam), {})[_key(ctx)] = _dist_to_obj(d, _event_key)
     return {
         "scenario": scenario_to_obj(h.scenario),
         "preparations": list(h.preparations),
@@ -308,10 +323,7 @@ def preparation_to_obj(m: PreparationModel) -> dict:
         "sites": list(sc.sites),
         "preparations": {s: list(sc.preparations[s]) for s in sc.sites},
         "ontic_spaces": {s: list(sc.ontic_spaces[s]) for s in sc.sites},
-        "tables": {
-            ",".join(jp): _dist_to_obj(m.tables[jp], lambda js: ",".join(js))
-            for jp in m.tables
-        },
+        "tables": {_key(jp): _dist_to_obj(m.tables[jp], _key) for jp in m.tables},
     }
 
 
@@ -319,31 +331,18 @@ def preparation_from_obj(obj: Any, path: str) -> PreparationModel:
     from ..prepscen import PreparationModel, PreparationScenario
 
     _require(obj, path, "sites", "preparations", "ontic_spaces", "tables")
-    sites = _label_list(obj["sites"], f"{path}/sites")
-    preps_obj = _expect(obj["preparations"], dict, f"{path}/preparations")
-    spaces_obj = _expect(obj["ontic_spaces"], dict, f"{path}/ontic_spaces")
-    preps = {
-        s: tuple(_label_list(v, f"{path}/preparations/{s}")) for s, v in preps_obj.items()
-    }
-    spaces = {
-        s: tuple(_label_list(v, f"{path}/ontic_spaces/{s}")) for s, v in spaces_obj.items()
-    }
+    sites = tuple(_label_list(obj["sites"], f"{path}/sites"))
+    preps = _label_lists(obj["preparations"], f"{path}/preparations")
+    spaces = _label_lists(obj["ontic_spaces"], f"{path}/ontic_spaces")
     with _guard(f"{path}/sites"):
-        scenario = PreparationScenario(tuple(sites), preps, spaces)
+        scenario = PreparationScenario(sites, preps, spaces)
     tables_obj = _expect(obj["tables"], dict, f"{path}/tables")
-    tables = {}
-    for key, val in tables_obj.items():
-        jp = tuple(key.split(","))
-        if len(jp) != len(sites):
-            raise SchemaError(f"{path}/tables/{key}", "joint preparation does not name every site")
-
-        def js_from(k: str, p: str, n=len(sites)) -> tuple:
-            parts = tuple(k.split(","))
-            if len(parts) != n:
-                raise SchemaError(p, "joint state does not name every site")
-            return parts
-
-        tables[jp] = _dist_from_obj(val, f"{path}/tables/{key}", js_from)
+    what = f"sites {sites}"
+    joint = lambda key, p: _parts(key, len(sites), p, what)
+    tables = {
+        joint(key, f"{path}/tables/{key}"): _dist_from_obj(val, f"{path}/tables/{key}", joint)
+        for key, val in tables_obj.items()
+    }
     with _guard(path):
         return PreparationModel(scenario, tables)
 
@@ -417,13 +416,12 @@ def _kind_of(payload: Any) -> str:
     return kind
 
 
-def model_file_for(payload: Payload) -> ModelFile:
-    return ModelFile(_kind_of(payload), payload)
+model_file_for = ModelFile
 
 
 def serialize_model_file(mf: ModelFile) -> str:
     doc = {
-        "format_version": mf.format_version,
+        "format_version": FORMAT_VERSION,
         "kind": mf.kind,
         "payload": ENCODERS[type_name(mf.payload)](mf.payload),
     }
@@ -461,7 +459,7 @@ def parse_model_file(text: Union[str, bytes]) -> ModelFile:
     if version != FORMAT_VERSION:
         raise SchemaError("document/format_version", f"expected {FORMAT_VERSION}, got {version!r}")
     kind = doc.get("kind")
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise SchemaError("document/kind", f"expected one of {list(KINDS)}, got {kind!r}")
     _require(doc, "document", "payload")
-    return ModelFile(kind, KINDS[kind][1](doc["payload"], "payload"))
+    return ModelFile(KINDS[kind][1](doc["payload"], "payload"))

@@ -264,8 +264,6 @@ def product_preparation_model(
     Ontic spaces default to the union of the supports seen at each site.
     The result is preparation independent by construction.
     """
-    if not site_models:
-        raise InvariantViolation("no sites given")
     sites = tuple(site_models)
     preps = {s: tuple(site_models[s]) for s in sites}
     if ontic_spaces is None:

@@ -12,7 +12,12 @@ Five rules used across the package live here once. `labels` and
 tuple without repeats, and a model holds exactly one table per key, with
 every support element inside its key's carrier. `checked_tables` counts
 the keys and tests each one, so no constructor lists a product of labels
-to compare against. `first_disagreement` walks families of keys and
+to compare against. Besides the scenarios and models, `labels` checks
+the carrier of `Dist.uniform`, the measurements of a `JointOutcome`, the
+effect labels of a `quantum.Povm` and the relabelled effects of each
+context in `quantum.psi_complete_model`; that function and
+`prepscen.product_preparation_model` leave an empty input to the model
+they build. `first_disagreement` walks families of keys and
 finds the first key whose marginal differs from that of its family's first
 key; no-signalling, parameter independence, well-defined observable
 properties and no-preparation-signalling are all that comparison. The
@@ -250,11 +255,7 @@ class Dist:
 
     @staticmethod
     def uniform(elements: Iterable) -> "Dist":
-        elems = list(elements)
-        if len(set(elems)) != len(elems):
-            raise InvariantViolation("uniform carrier contains duplicates")
-        if not elems:
-            raise InvariantViolation("uniform carrier is empty")
+        elems = labels(elements, "elements of a uniform carrier")
         w = Fraction(1, len(elems))
         return Dist({x: w for x in elems})
 
@@ -319,12 +320,8 @@ class JointOutcome:
     pairs: tuple
 
     def __post_init__(self):
-        pairs = tuple(sorted(tuple(p) for p in self.pairs))
-        if not pairs:
-            raise InvariantViolation("joint outcome over empty context")
-        ms = [m for m, _ in pairs]
-        if len(set(ms)) != len(ms):
-            raise InvariantViolation(f"duplicate measurement in {pairs}")
+        pairs = tuple(sorted(map(tuple, self.pairs)))
+        labels([m for m, _ in pairs], "measurements in a joint outcome")
         object.__setattr__(self, "pairs", pairs)
 
     @staticmethod

@@ -20,9 +20,10 @@ norms, traces, hermiticity, and the steering demo's fidelities and
 reduced-state drift; `STRUCTURE_TOL` (1e-10) for positivity floors and
 identity sums; `EIGENVALUE_GAP` (1e-8) for grouping nearly equal
 eigenvalues; `SUPPORT_TOL` (1e-10) for which eigenspace overlaps count;
-`MARGINAL_TOL` (1e-9) for when float marginals agree across contexts; and
-`CHSH_TOL` (1e-4) for how close a rationalized CHSH value must come to
-2*sqrt(2).
+`MARGINAL_TOL` (1e-9) for when float marginals agree across contexts;
+`SUM_TOL` (1e-9) for how far from 1 the float probabilities handed to
+`rationalize` may sum; and `CHSH_TOL` (1e-4) for how close a
+rationalized CHSH value must come to 2*sqrt(2).
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .probcore import (
     OntolabError,
     _ordered,
     _value_class,
+    labels,
 )
 from .ontomodel import OntologicalModel
 
@@ -62,6 +64,7 @@ STRUCTURE_TOL = 1e-10
 EIGENVALUE_GAP = 1e-8
 SUPPORT_TOL = 1e-10
 MARGINAL_TOL = 1e-9
+SUM_TOL = 1e-9
 CHSH_TOL = 1e-4
 
 _JACOBI_SWEEPS = 50
@@ -232,11 +235,7 @@ class Povm:
 
     def __post_init__(self):
         effects = tuple((label, _matrix(m)) for label, m in self.effects)
-        labels = [label for label, _ in effects]
-        if not effects:
-            raise InvariantViolation("POVM with no effects")
-        if len(set(labels)) != len(labels):
-            raise InvariantViolation("duplicate effect labels")
+        labels([label for label, _ in effects], "effect labels")
         if len({len(m) for _, m in effects}) != 1:
             raise DimensionMismatch("effects act on different dimensions")
         for _, m in effects:
@@ -409,25 +408,25 @@ def rationalize(probs: Mapping[Any, float], max_denominator: int = 10**6) -> Dis
     Each entry becomes its best rational approximation with denominator at
     most `max_denominator`; the leftover mass, at most a few parts in
     `max_denominator`, is folded into the largest entry. Inputs must lie in
-    [0, 1] and sum to 1 within 1e-9.
+    [0, 1] and sum to 1 within `SUM_TOL`.
     """
     if max_denominator < 1:
         raise InvariantViolation("max_denominator must be positive")
-    labels = _ordered(probs)
+    order = _ordered(probs)
     cleaned = {}
-    for label in labels:
+    for label in order:
         p = float(probs[label])
         if not -NORMALIZATION_TOL <= p <= 1 + NORMALIZATION_TOL:
             raise NotADistribution(f"entry {label!r} = {p} is outside [0, 1]")
         cleaned[label] = min(max(p, 0.0), 1.0)
     total = sum(cleaned.values())
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > SUM_TOL:
         raise NotADistribution(f"entries sum to {total}")
     fracs = {label: _approx(p, max_denominator) for label, p in cleaned.items()}
     residual = 1 - sum(fracs.values())
     if residual != 0:
         top = max(fracs.values())
-        target = next(label for label in labels if fracs[label] == top)
+        target = next(label for label in order if fracs[label] == top)
         fracs[target] += residual
         if fracs[target] < 0:
             raise NotADistribution("residual correction produced a negative weight")
@@ -545,8 +544,6 @@ def psi_complete_model(
     exact marginals, so the model passes the exact parameter-independence
     check.
     """
-    if not preps:
-        raise InvariantViolation("no preparations given")
     contexts = {}
     for given_ctx, povm in measurements.items():
         given = tuple(given_ctx)
@@ -562,8 +559,7 @@ def psi_complete_model(
                     f"effect label {label!r} does not give one outcome per measurement of {given}"
                 )
             relabel[label] = tuple(flat[i] for i in order)
-        if len(set(relabel.values())) != len(relabel):
-            raise InvariantViolation("duplicate effect labels")
+        labels(relabel.values(), f"effect labels in context {ctx}")
         contexts[ctx] = (povm, relabel)
 
     outcome_order: dict = {}

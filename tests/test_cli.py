@@ -313,6 +313,28 @@ class TestInputErrors:
         assert code == 2
         assert "document/kind" in err
 
+    @pytest.mark.parametrize(
+        "name,mutate,path",
+        [
+            ("prbox", lambda p: p["scenario"]["measurements"].append("z"), "payload/scenario"),
+            ("pbr-q", lambda p: p["tables"].update(psi0=p["tables"].pop("psi0,psi0")), "payload/tables/psi0"),
+            (
+                "pbr-q",
+                lambda p: p["tables"]["psi0,psi0"].update(overlap=p["tables"]["psi0,psi0"].pop("overlap,outside")),
+                "payload/tables/psi0,psi0/overlap",
+            ),
+        ],
+        ids=["measurements-and-outcome-keys", "joint-preparation-key", "joint-state-key"],
+    )
+    def test_wire_refusal_names_its_path(self, cli, tmp_path, name, mutate, path):
+        doc = json.loads(serialize_model_file(zoo.load_model(name)))
+        mutate(doc["payload"])
+        file = tmp_path / "mutated.json"
+        file.write_text(json.dumps(doc))
+        code, _, err = cli("validate", str(file))
+        assert code == 2
+        assert err.startswith(f"error: {path}: ")
+
     def test_wrong_kind(self, cli):
         code, _, err = cli("check-ns", "zoo:fuzzy-coin-property")
         assert code == 2

@@ -26,7 +26,9 @@ from ontolab import (
     product_dist,
 )
 from ontolab.cli.zoo import bell_scenario, pr_box
+from ontolab.prepscen import product_preparation_model
 from ontolab.probcore import checked_tables, labels
+from ontolab.quantum import Povm, psi_complete_model, z_basis_povm
 
 from conftest import rand_rational_dist
 
@@ -255,6 +257,29 @@ class TestShapeRules:
     def test_labels_refuse_empty_or_repeating(self, items):
         with pytest.raises(InvariantViolation):
             labels(items, "sites")
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Dist.uniform([]),
+            lambda: Dist.uniform(["a", "b", "a"]),
+            lambda: JointOutcome((("a", "0"), ("a", "1"))),
+            lambda: Povm(()),
+            lambda: psi_complete_model({}, {("a",): z_basis_povm()}),
+            lambda: product_preparation_model({}),
+        ],
+        ids=[
+            "uniform-empty",
+            "uniform-repeat",
+            "joint-outcome-repeat",
+            "povm-empty",
+            "psi-complete-no-preparations",
+            "product-preparation-no-sites",
+        ],
+    )
+    def test_every_caller_refuses_empty_or_repeating(self, build):
+        with pytest.raises(InvariantViolation):
+            build()
 
     def test_checked_tables_come_back_in_key_order(self):
         tables = {"b": Dist.delta(1), "a": Dist.delta(2)}

@@ -208,6 +208,14 @@ class TestTensor:
         with pytest.raises(KindMismatch):
             tensor(qubit0(), z_basis_povm())
 
+    def test_density_matrix_tensor_is_that_of_the_kets(self):
+        a, b = plus_state(), Ket.of([math.cos(0.3), 1j * math.sin(0.3)])
+        rho = tensor(DensityMatrix.from_ket(a), DensityMatrix.from_ket(b))
+        expected = DensityMatrix.from_ket(tensor(a, b))
+        assert rho.dimension == 4
+        drift = max(abs(x - y) for r, e in zip(rho.matrix, expected.matrix) for x, y in zip(r, e))
+        assert drift <= quantum.NORMALIZATION_TOL
+
 
 class TestRationalize:
     def test_exact_halves(self):
