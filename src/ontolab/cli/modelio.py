@@ -251,11 +251,14 @@ def _event_from_key(key: str, context: tuple, path: str) -> JointOutcome:
 
 def _context_tables(obj: Any, path: str) -> dict:
     """Tables keyed by comma-joined contexts, each key sorted into its
-    context; a context given twice, in any label order, is refused."""
+    context. Each part of a key must be a label and no measurement may
+    repeat in it; a context given twice, in any label order, is refused."""
     _expect(obj, dict, path)
     tables = {}
     for key, val in obj.items():
-        ctx = tuple(sorted(key.split(",")))
+        ctx = tuple(sorted(_label(part, f"{path}/{key}") for part in key.split(",")))
+        if len(set(ctx)) != len(ctx):
+            raise SchemaError(f"{path}/{key}", "repeated measurement in context")
         if ctx in tables:
             raise SchemaError(f"{path}/{key}", "duplicate context")
         tables[ctx] = _dist_from_obj(val, f"{path}/{key}", lambda k, p, c=ctx: _event_from_key(k, c, p))

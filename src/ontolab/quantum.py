@@ -13,7 +13,10 @@ distribution to nearby rationals with a bounded denominator.
 `psi_complete_model` goes further: its joint response tables are
 completed against shared rationalized single-measurement marginals, so
 the resulting model is parameter independent under exact comparison, not
-merely up to rounding.
+merely up to rounding. Both follow one repair rule where rounding at a
+coarse cap overshoots an exact sum: scale the overshooting entries down
+to it. The table completion adds one greedy fill of a negative corner,
+and neither refuses a valid input at any cap.
 
 Tolerances are fixed module constants: `NORMALIZATION_TOL` (1e-12) for
 norms, traces, hermiticity, and the steering demo's fidelities and
@@ -406,9 +409,12 @@ def rationalize(probs: Mapping[Any, float], max_denominator: int = 10**6) -> Dis
     """Snap float probabilities to exact rationals summing to exactly one.
 
     Each entry becomes its best rational approximation with denominator at
-    most `max_denominator`; the leftover mass, at most a few parts in
-    `max_denominator`, is folded into the largest entry. Inputs must lie in
-    [0, 1] and sum to 1 within `SUM_TOL`.
+    most `max_denominator`. The leftover mass, at most a few parts in
+    `max_denominator` at fine caps, is folded into the largest entry (the
+    first in `_ordered` order); where that would make it negative, which
+    only a coarse cap can cause, every entry is instead divided by their
+    sum, so a denominator may then exceed the cap. Inputs must lie in
+    [0, 1] and sum to 1 within `SUM_TOL`; no such input is refused.
     """
     if max_denominator < 1:
         raise InvariantViolation("max_denominator must be positive")
@@ -423,77 +429,70 @@ def rationalize(probs: Mapping[Any, float], max_denominator: int = 10**6) -> Dis
     if abs(total - 1.0) > SUM_TOL:
         raise NotADistribution(f"entries sum to {total}")
     fracs = {label: _approx(p, max_denominator) for label, p in cleaned.items()}
-    residual = 1 - sum(fracs.values())
-    if residual != 0:
-        top = max(fracs.values())
-        target = next(label for label in order if fracs[label] == top)
-        fracs[target] += residual
-        if fracs[target] < 0:
-            raise NotADistribution("residual correction produced a negative weight")
+    total = sum(fracs.values())
+    top = max(order, key=fracs.__getitem__)
+    if fracs[top] + 1 >= total:
+        fracs[top] += 1 - total
+    else:
+        fracs = {label: w / total for label, w in fracs.items()}
     return Dist({label: w for label, w in fracs.items() if w != 0})
 
 
-def _complete_2d(rowm, colm, target, nrows, ncols, max_denominator):
-    """Exact table with prescribed row and column sums, near float targets.
+def _complete_2d(rowm, colm, target, max_denominator):
+    """Exact non-negative table, as a list of rows, with row sums ``rowm``
+    and column sums ``colm`` (of equal totals), near the float targets
+    ``target(i, j)``. No table is refused: the product of the marginals is
+    always a completion, and the two repairs below always succeed.
 
-    Interior cells are rationalized directly; the last row and column
-    absorb the rounding so the sums come out exact. Tiny negative
-    completions are repaired by shifting mass from the largest cell of the
-    affected line.
+    The interior (every cell off the last row and column) is rationalized
+    cell by cell; the last column, last row and corner take what the sums
+    leave. Two repairs keep those non-negative. First, each row and then
+    each column whose interior overshoots its sum is scaled down to that
+    sum; scaling one line only lowers the others' sums, so one pass leaves
+    every line within its sum. Second, a negative corner has its deficit
+    moved into the interior in one greedy pass over the slack of the last
+    column and of the last row; the last column's slack exceeds the deficit
+    by that column's sum and the last row's by that row's sum, so the pass
+    clears it. A table that needs neither repair is its rounded interior
+    completed by the sums.
     """
-    cell = {}
-    for i in range(nrows - 1):
-        for j in range(ncols - 1):
-            cell[(i, j)] = _approx(target(i, j), max_denominator)
-    for i in range(nrows - 1):
-        cell[(i, ncols - 1)] = rowm[i] - sum(cell[(i, j)] for j in range(ncols - 1))
-        v = cell[(i, ncols - 1)]
-        if v < 0:
-            donor = max(range(ncols - 1), key=lambda j: cell[(i, j)])
-            if cell[(i, donor)] < -v:
-                raise InvariantViolation("cannot complete table against fixed marginals")
-            cell[(i, donor)] += v
-            cell[(i, ncols - 1)] = Fraction(0)
-    for j in range(ncols - 1):
-        cell[(nrows - 1, j)] = colm[j] - sum(cell[(i, j)] for i in range(nrows - 1))
-        v = cell[(nrows - 1, j)]
-        if v < 0:
-            deficit = -v
-            donor = max(range(nrows - 1), key=lambda i: cell[(i, j)])
-            if cell[(donor, j)] < deficit:
-                raise InvariantViolation("cannot complete table against fixed marginals")
-            cell[(donor, j)] -= deficit
-            cell[(donor, ncols - 1)] += deficit
-            cell[(nrows - 1, j)] = Fraction(0)
-    corner = rowm[nrows - 1] - sum(cell[(nrows - 1, j)] for j in range(ncols - 1))
-    check = colm[ncols - 1] - sum(cell[(i, ncols - 1)] for i in range(nrows - 1))
-    if corner != check:
+    n, m = len(rowm) - 1, len(colm) - 1
+    inner = [[_approx(target(i, j), max_denominator) for j in range(m)] for i in range(n)]
+    for i, row in enumerate(inner):
+        total = sum(row)
+        if total > rowm[i]:
+            inner[i] = [w * rowm[i] / total for w in row]
+    for j in range(m):
+        total = sum(row[j] for row in inner)
+        if total > colm[j]:
+            for row in inner:
+                row[j] *= colm[j] / total
+    last_col = [r - sum(row) for r, row in zip(rowm, inner)]
+    last_row = [colm[j] - sum(row[j] for row in inner) for j in range(m)]
+    deficit = sum(last_row) - rowm[n]
+    for i, j in itertools.product(range(n), range(m)):
+        if deficit <= 0:
+            break
+        move = min(deficit, last_col[i], last_row[j])
+        inner[i][j] += move
+        last_col[i] -= move
+        last_row[j] -= move
+        deficit -= move
+    corner = colm[m] - sum(last_col)
+    if sum(last_row) + corner != rowm[n]:
         raise InternalError("inconsistent table completion")
-    if corner < 0:
-        deficit = -corner
-        i_star = max(range(nrows - 1), key=lambda i: cell[(i, ncols - 1)], default=None)
-        j_star = max(range(ncols - 1), key=lambda j: cell[(nrows - 1, j)], default=None)
-        if (
-            i_star is None
-            or j_star is None
-            or cell[(i_star, ncols - 1)] < deficit
-            or cell[(nrows - 1, j_star)] < deficit
-        ):
-            raise InvariantViolation("cannot complete table against fixed marginals")
-        cell[(i_star, j_star)] += deficit
-        cell[(i_star, ncols - 1)] -= deficit
-        cell[(nrows - 1, j_star)] -= deficit
-        corner = Fraction(0)
-    cell[(nrows - 1, ncols - 1)] = corner
-    return cell
+    return [row + [w] for row, w in zip(inner, last_col)] + [last_row + [corner]]
 
 
 def _consistent_joint(ctx, pools, target, marginals, max_denominator):
     """Rational joint table with every single-axis marginal exact.
 
     Recursive corner completion: the first axis against the (recursively
-    completed) joint of the remaining axes. Row sums give the first axis
-    its exact marginal; column sums hand the remaining axes theirs.
+    completed) joint of the remaining axes, by `_complete_2d`. Row sums
+    give the first axis its exact marginal; column sums hand the remaining
+    axes theirs. Zero cells are left out. No table is refused: each
+    completion scales overshooting lines down and fills a negative corner
+    greedily, as `_complete_2d` describes.
     """
     if len(ctx) == 1:
         return {(o,): w for o, w in marginals[ctx[0]].items()}
@@ -506,19 +505,17 @@ def _consistent_joint(ctx, pools, target, marginals, max_denominator):
     rest_joint = _consistent_joint(rest, pools, rest_target, marginals, max_denominator)
     rowm = [marginals[first].weight(o) for o in first_pool]
     colm = [rest_joint.get(rt, Fraction(0)) for rt in rest_tuples]
-    cells = _complete_2d(
+    rows = _complete_2d(
         rowm,
         colm,
         lambda i, j: target[(first_pool[i],) + rest_tuples[j]],
-        len(first_pool),
-        len(rest_tuples),
         max_denominator,
     )
     return {
-        (first_pool[i],) + rt: w
-        for (i, j), w in cells.items()
+        (o,) + rt: w
+        for o, row in zip(first_pool, rows)
+        for rt, w in zip(rest_tuples, row)
         if w != 0
-        for rt in [rest_tuples[j]]
     }
 
 
@@ -541,8 +538,10 @@ def psi_complete_model(
     rationalized Born probabilities of the per-context POVMs. Whenever the
     float tables have consistent single-measurement marginals (product
     POVMs always do), the rationalized tables are completed against shared
-    exact marginals, so the model passes the exact parameter-independence
-    check.
+    exact marginals (`_consistent_joint`), so the model passes the exact
+    parameter-independence check at any `max_denominator`; no completion
+    is refused. Tables whose float marginals drift apart are rationalized
+    one by one.
     """
     contexts = {}
     for given_ctx, povm in measurements.items():
@@ -669,22 +668,28 @@ def observable_epistemicity(
     )
 
 
+_STEERING_BASES = {"z": (qubit0, qubit1), "x": (plus_state, minus_state)}
+
+
+def _steering_states(basis: str) -> list:
+    """The two local states of a steering basis; the one refusal of an
+    unknown basis for the three steering functions."""
+    if basis not in _STEERING_BASES:
+        raise InvariantViolation(f"basis must be 'z' or 'x', got {basis!r}")
+    return [make() for make in _STEERING_BASES[basis]]
+
+
 def steering_demo(basis: str) -> list:
     """Measure one half of the maximally entangled pair; list the remote
     ensemble as (probability, conditional state) pairs.
 
     Basis "z" steers the far qubit to the computational states, basis "x"
-    to the diagonal states, each with probability 1/2.
+    to the diagonal states, each with probability 1/2; any other basis is
+    refused with `InvariantViolation`.
     """
-    if basis == "z":
-        local = [qubit0(), qubit1()]
-    elif basis == "x":
-        local = [plus_state(), minus_state()]
-    else:
-        raise InvariantViolation(f"basis must be 'z' or 'x', got {basis!r}")
     pair = bell_phi_plus().amplitudes
     ensemble = []
-    for u in local:
+    for u in _steering_states(basis):
         # pair[j::2] is column j of the pair's amplitudes as a 2x2 matrix
         remote = tuple(_inner(u.amplitudes, pair[j::2]) for j in range(2))
         p = _inner(remote, remote).real
@@ -694,11 +699,11 @@ def steering_demo(basis: str) -> list:
 
 def steering_fidelities(basis: str, ensemble: list) -> tuple:
     """Fidelity of each steered state to the matching state of the basis,
-    and whether every fidelity is within the normalization tolerance of 1."""
-    targets = [qubit0(), qubit1()] if basis == "z" else [plus_state(), minus_state()]
+    and whether every fidelity is within the normalization tolerance of 1.
+    An unknown basis is refused as in `steering_demo`."""
     fidelities = [
         abs(_inner(t.amplitudes, k.amplitudes)) ** 2
-        for t, (_, k) in zip(targets, ensemble)
+        for t, (_, k) in zip(_steering_states(basis), ensemble)
     ]
     return fidelities, all(f >= 1 - NORMALIZATION_TOL for f in fidelities)
 
@@ -710,7 +715,9 @@ def _reduced(ensemble: list) -> tuple:
 def steering_drift(basis: str, ensemble: list) -> tuple:
     """Reduced matrix of the ensemble steered in ``basis``, its largest entry
     difference from the one steered in the other basis, and whether that
-    difference is within the normalization tolerance (no signalling)."""
+    difference is within the normalization tolerance (no signalling). An
+    unknown basis is refused as in `steering_demo`."""
+    _steering_states(basis)
     rho = _reduced(ensemble)
     rho_other = _reduced(steering_demo("x" if basis == "z" else "z"))
     drift = _max_diff(rho, rho_other)

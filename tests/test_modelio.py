@@ -268,6 +268,27 @@ class TestErrorGrading:
         assert e.value.path == f"payload/responses/{state}/{b},{a}"
         assert "duplicate context" in str(e.value)
 
+    @pytest.mark.parametrize(
+        "key,detail",
+        [("a0,a0,b1,b1", "repeated measurement in context"), ("a0,", "non-empty")],
+    )
+    @pytest.mark.parametrize("where", ["tables", "responses"])
+    def test_context_key_is_checked_label_by_label(self, key, detail, where):
+        """The refusal names the context key, not an event key under it or
+        the table set as a whole."""
+        if where == "tables":
+            doc = doc_for(pr_box())
+            by_ctx, path = doc["payload"]["tables"], "payload/tables"
+        else:
+            doc = doc_for(small_ontological())
+            state, by_ctx = next(iter(doc["payload"]["responses"].items()))
+            path = f"payload/responses/{state}"
+        by_ctx[key] = by_ctx.pop(next(iter(by_ctx)))
+        with pytest.raises(SchemaError) as e:
+            parse_model_file(json.dumps(doc))
+        assert e.value.path == f"{path}/{key}"
+        assert detail in str(e.value)
+
     def test_weights_not_summing_to_one(self):
         doc = doc_for(pr_box())
         table = next(iter(doc["payload"]["tables"].values()))

@@ -36,6 +36,8 @@ from ontolab.quantum import (
     qubit_direction_povm,
     rationalize,
     steering_demo,
+    steering_drift,
+    steering_fidelities,
     tensor,
     x_basis_povm,
     z_basis_povm,
@@ -256,6 +258,15 @@ class TestRationalize:
         with pytest.raises(InvariantViolation):
             rationalize({"a": 1.0}, max_denominator=0)
 
+    def test_overshoot_beyond_the_largest_entry_scales_down(self):
+        """At cap 3 the five 0.17 entries snap to 1/3 and 0.15 to 0: the
+        residual -2/3 cannot be folded into a 1/3 entry, so every entry is
+        divided by the sum 5/3."""
+        probs = {label: 0.17 for label in "abcde"}
+        probs["f"] = 0.15
+        d = rationalize(probs, max_denominator=3)
+        assert d.weights == {label: F(1, 5) for label in "abcde"}
+
 
 @st.composite
 def completion_cases(draw):
@@ -289,20 +300,30 @@ def completion_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(completion_cases())
-def test_consistent_joint_is_exact_or_refused(case):
+def test_consistent_joint_is_exact(case):
+    """Every drawn table is completed: non-negative, summing to one, with
+    the given marginals, and each cell within len(cells)/cap of its
+    target."""
     ctx, pools, target, marginals, cap = case
-    try:
-        joint = quantum._consistent_joint(ctx, pools, target, marginals, cap)
-    except InvariantViolation:
-        return
+    joint = quantum._consistent_joint(ctx, pools, target, marginals, cap)
+    cells = list(itertools.product(*(pools[m] for m in ctx)))
     assert all(w >= 0 for w in joint.values())
     assert sum(joint.values()) == 1
-    assert set(joint) <= set(itertools.product(*(pools[m] for m in ctx)))
+    assert set(joint) <= set(cells)
+    for cell in cells:
+        assert abs(float(joint.get(cell, 0)) - target[cell]) <= len(cells) / cap
     for i, m in enumerate(ctx):
         axis = {}
         for cell, w in joint.items():
             axis[cell[i]] = axis.get(cell[i], 0) + w
         assert Dist(axis) == marginals[m]
+
+
+def test_completion_of_marginals_with_different_totals_is_an_internal_error():
+    """The only refusal left in `_complete_2d` guards its caller: row and
+    column sums of different totals admit no table."""
+    with pytest.raises(InternalError):
+        quantum._complete_2d([F(1, 2), F(1, 2)], [F(1, 3), F(1, 3)], lambda i, j: 0.25, 1000)
 
 
 CHSH_ANGLES = {"a0": 0.0, "a1": math.pi / 2, "b0": math.pi / 4, "b1": -math.pi / 4}
@@ -346,6 +367,21 @@ class TestPsiCompleteModel:
 
     def test_coarse_denominator_still_parameter_independent(self):
         assert is_parameter_independent(chsh_model(max_denominator=50))
+
+    def test_w_state_at_a_coarse_cap_is_parameter_independent(self):
+        """W = (|001> + |010> + |100>)/sqrt(3) under Z (0) and X (1) on each
+        of three qubits, all eight contexts, at cap 3: a rounded interior
+        leaves a corner of -1/2 where no cell of the last row holds more
+        than 1/3, and the completion still comes out exact."""
+        w = Ket.of([0, 1 / math.sqrt(3), 1 / math.sqrt(3), 0, 1 / math.sqrt(3), 0, 0, 0])
+        bases = {"0": z_basis_povm(), "1": x_basis_povm()}
+        meas = {
+            ("a" + i, "b" + j, "c" + k): tensor(tensor(bases[i], bases[j]), bases[k])
+            for i, j, k in itertools.product("01", repeat=3)
+        }
+        m = psi_complete_model({"w": w}, meas, max_denominator=3)
+        assert len(m.scenario.cover) == 8
+        assert is_parameter_independent(m)
 
     def test_label_arity_must_match_context(self):
         with pytest.raises(InvariantViolation):
@@ -478,3 +514,10 @@ class TestSteering:
     def test_unknown_basis(self):
         with pytest.raises(InvariantViolation):
             steering_demo("y")
+
+    @pytest.mark.parametrize("check", [steering_fidelities, steering_drift])
+    def test_checks_refuse_an_unknown_basis(self, check):
+        """The fidelity and drift checks share `steering_demo`'s basis table:
+        "y" is refused, not scored against the z states."""
+        with pytest.raises(InvariantViolation, match="basis must be 'z' or 'x'"):
+            check("y", steering_demo("z"))
