@@ -24,10 +24,12 @@ keyed by its outcomes joined with commas (`_event_key`) in both.
 
 One codec carries the composite keys: `_key` is the one join of labels
 with commas, for contexts, events, joint preparations and joint states,
-and `_parts` the one split, which refuses a key that does not hold one
-label per context measurement or per site. `_label_lists` reads the three
-maps from a label to a label list: a scenario's outcomes and a
-preparation model's preparations and ontic spaces.
+and `_parts` the one split, which checks each part with `_label` and
+refuses an event or joint key that does not hold one label per context
+measurement or per site, each refusal at the key's own path.
+`_label_lists` reads the three maps from a label to a label list: a
+scenario's outcomes and a preparation model's preparations and ontic
+spaces.
 
 A `ModelFile` holds only its payload. Its `kind` is read off the
 payload's type, so a tag that disagrees with the payload cannot be built,
@@ -46,7 +48,7 @@ import re
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Union
+from typing import TYPE_CHECKING, Any, Optional, Union
 
 from ..probcore import (
     Dist,
@@ -169,12 +171,13 @@ def _key(parts) -> str:
     return ",".join(map(str, parts))
 
 
-def _parts(key: str, n: int, path: str, what: str) -> tuple:
-    """The one split of a composite key, which must hold ``n`` labels."""
-    parts = tuple(key.split(","))
-    if len(parts) != n:
+def _parts(key: str, path: str, n: Optional[int] = None, what: str = "") -> tuple:
+    """The one split of a composite key into labels, each checked by
+    `_label`; given ``n``, the key must hold ``n`` of them."""
+    parts = key.split(",")
+    if n is not None and len(parts) != n:
         raise SchemaError(path, f"key {key!r} does not match {what}")
-    return parts
+    return tuple(_label(part, path) for part in parts)
 
 
 @contextmanager
@@ -246,7 +249,7 @@ def certificate_to_obj(c) -> dict:
 
 
 def _event_from_key(key: str, context: tuple, path: str) -> JointOutcome:
-    return JointOutcome.of(context, _parts(key, len(context), path, f"context {context}"))
+    return JointOutcome.of(context, _parts(key, path, len(context), f"context {context}"))
 
 
 def _context_tables(obj: Any, path: str) -> dict:
@@ -256,7 +259,7 @@ def _context_tables(obj: Any, path: str) -> dict:
     _expect(obj, dict, path)
     tables = {}
     for key, val in obj.items():
-        ctx = tuple(sorted(_label(part, f"{path}/{key}") for part in key.split(",")))
+        ctx = tuple(sorted(_parts(key, f"{path}/{key}")))
         if len(set(ctx)) != len(ctx):
             raise SchemaError(f"{path}/{key}", "repeated measurement in context")
         if ctx in tables:
@@ -341,7 +344,7 @@ def preparation_from_obj(obj: Any, path: str) -> PreparationModel:
         scenario = PreparationScenario(sites, preps, spaces)
     tables_obj = _expect(obj["tables"], dict, f"{path}/tables")
     what = f"sites {sites}"
-    joint = lambda key, p: _parts(key, len(sites), p, what)
+    joint = lambda key, p: _parts(key, p, len(sites), what)
     tables = {
         joint(key, f"{path}/tables/{key}"): _dist_from_obj(val, f"{path}/tables/{key}", joint)
         for key, val in tables_obj.items()

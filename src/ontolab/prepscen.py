@@ -261,21 +261,21 @@ def product_preparation_model(
 ) -> PreparationModel:
     """Assemble the independent product of per-site preparation models.
 
-    Ontic spaces default to the union of the supports seen at each site.
-    The result is preparation independent by construction.
+    Ontic spaces default to the union of the supports seen at each site;
+    given ones must name exactly the sites of ``site_models``, which
+    `PreparationScenario` checks. The result is preparation independent by
+    construction.
     """
     sites = tuple(site_models)
     preps = {s: tuple(site_models[s]) for s in sites}
     if ontic_spaces is None:
-        spaces = {}
+        ontic_spaces = {}
         for s in sites:
             seen: set = set()
             for d in site_models[s].values():
                 seen |= d.support
-            spaces[s] = tuple(_ordered(seen))
-    else:
-        spaces = {s: tuple(ontic_spaces[s]) for s in sites}
-    scenario = PreparationScenario(sites, preps, spaces)
+            ontic_spaces[s] = tuple(_ordered(seen))
+    scenario = PreparationScenario(sites, preps, ontic_spaces)
     tables = {
         jp: product_dist(*(site_models[s][p] for s, p in zip(sites, jp)))
         for jp in scenario.joint_preparations()

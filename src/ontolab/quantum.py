@@ -10,23 +10,28 @@ and POVM effects and the spectral decomposition of observables.
 
 The bridge to the exact side is `rationalize`, which snaps a float
 distribution to nearby rationals with a bounded denominator.
-`psi_complete_model` goes further: its joint response tables are
-completed against shared rationalized single-measurement marginals, so
-the resulting model is parameter independent under exact comparison, not
-merely up to rounding. Both follow one repair rule where rounding at a
-coarse cap overshoots an exact sum: scale the overshooting entries down
-to it. The table completion adds one greedy fill of a negative corner,
-and neither refuses a valid input at any cap.
+`psi_complete_model` goes further: every joint response table is
+completed against exact single-measurement marginals chosen one
+measurement at a time. A measurement whose float marginal agrees with its
+first context's takes that context's rationalized marginal, shared by all
+such contexts, so it is parameter independent under exact comparison, not
+merely up to rounding; only a drifting measurement takes the context's
+own rationalized axis. No table is rationalized whole. Rationalization
+and completion follow one repair rule where rounding at a coarse cap
+overshoots an exact sum: scale the overshooting entries down to it. The
+table completion adds one greedy fill of a negative corner, and neither
+refuses a valid input at any cap.
 
 Tolerances are fixed module constants: `NORMALIZATION_TOL` (1e-12) for
 norms, traces, hermiticity, and the steering demo's fidelities and
 reduced-state drift; `STRUCTURE_TOL` (1e-10) for positivity floors and
 identity sums; `EIGENVALUE_GAP` (1e-8) for grouping nearly equal
 eigenvalues; `SUPPORT_TOL` (1e-10) for which eigenspace overlaps count;
-`MARGINAL_TOL` (1e-9) for when float marginals agree across contexts;
-`SUM_TOL` (1e-9) for how far from 1 the float probabilities handed to
-`rationalize` may sum; and `CHSH_TOL` (1e-4) for how close a
-rationalized CHSH value must come to 2*sqrt(2).
+`MARGINAL_TOL` (1e-9) for when a measurement's float marginal in a
+context agrees with its first context's; `SUM_TOL` (1e-9) for how far
+from 1 the float probabilities handed to `rationalize` may sum; and
+`CHSH_TOL` (1e-4) for how close a rationalized CHSH value must come to
+2*sqrt(2).
 """
 
 from __future__ import annotations
@@ -485,14 +490,18 @@ def _complete_2d(rowm, colm, target, max_denominator):
 
 
 def _consistent_joint(ctx, pools, target, marginals, max_denominator):
-    """Rational joint table with every single-axis marginal exact.
+    """Rational joint table whose single-axis marginals are exactly
+    ``marginals``, one exact distribution per measurement of the context.
 
-    Recursive corner completion: the first axis against the (recursively
-    completed) joint of the remaining axes, by `_complete_2d`. Row sums
-    give the first axis its exact marginal; column sums hand the remaining
-    axes theirs. Zero cells are left out. No table is refused: each
-    completion scales overshooting lines down and fills a negative corner
-    greedily, as `_complete_2d` describes.
+    Each marginal is the measurement's shared one or, for a measurement
+    whose float marginal drifts, the context's own rationalized axis; the
+    table is completed against them either way and never rationalized
+    whole. Recursive corner completion: the first axis against the
+    (recursively completed) joint of the remaining axes, by `_complete_2d`.
+    Row sums give the first axis its exact marginal; column sums hand the
+    remaining axes theirs. Zero cells are left out. No table is refused:
+    each completion scales overshooting lines down and fills a negative
+    corner greedily, as `_complete_2d` describes.
     """
     if len(ctx) == 1:
         return {(o,): w for o, w in marginals[ctx[0]].items()}
@@ -520,7 +529,11 @@ def _consistent_joint(ctx, pools, target, marginals, max_denominator):
 
 
 def _axis_floats(table: Mapping[tuple, float], i: int, outcomes: Sequence) -> dict:
-    """Float marginal of axis ``i`` of a table keyed by outcome tuples."""
+    """Float marginal of axis ``i`` of a table keyed by outcome tuples.
+
+    `psi_complete_model` compares it, one measurement at a time, with the
+    measurement's marginal in its first context, and rationalizes it as
+    the exact marginal the table is completed against."""
     axis = {o: 0.0 for o in outcomes}
     for label, p in table.items():
         axis[label[i]] += p
@@ -535,13 +548,20 @@ def psi_complete_model(
     """Ontological model whose ontic states are the preparations' own kets.
 
     Each preparation prepares its ket with certainty; responses are the
-    rationalized Born probabilities of the per-context POVMs. Whenever the
-    float tables have consistent single-measurement marginals (product
-    POVMs always do), the rationalized tables are completed against shared
-    exact marginals (`_consistent_joint`), so the model passes the exact
-    parameter-independence check at any `max_denominator`; no completion
-    is refused. Tables whose float marginals drift apart are rationalized
-    one by one.
+    Born probabilities of the per-context POVMs, each table completed by
+    `_consistent_joint` against exact marginals chosen one measurement at a
+    time. A measurement's reference is its float marginal in its first
+    context in cover order, per preparation, rationalized once. In every
+    context where its float marginal agrees with that reference within
+    `MARGINAL_TOL` (product POVMs always do), it takes the shared exact
+    marginal, so it is parameter independent under exact comparison at any
+    `max_denominator`; only a measurement that drifts takes the context's
+    own rationalized axis, and only it loses parameter independence. No
+    table is rationalized whole and no completion is refused.
+
+    A known limit: if a measurement's first context is the odd one out,
+    its other contexts each rationalize their own nearly equal axes, which
+    may then differ from one another at a coarse cap.
     """
     contexts = {}
     for given_ctx, povm in measurements.items():
@@ -578,35 +598,22 @@ def psi_complete_model(
     responses = {}
     for name in _ordered(preps):
         rho = DensityMatrix.from_ket(preps[name])
-        raw = {}
+        shared = {}
         for ctx in scenario.cover:
             povm, relabel = contexts[ctx]
-            raw[ctx] = {relabel[label]: p for label, p in born(rho, povm).items()}
-        float_marginals = {}
-        exact_marginals = {}
-        for m in scenario.measurements:
-            ctx = scenario.contexts_with(m)[0]
-            floats = _axis_floats(raw[ctx], ctx.index(m), outcome_order[m])
-            float_marginals[m] = floats
-            exact_marginals[m] = rationalize(floats, max_denominator)
-        for ctx in scenario.cover:
-            table = raw[ctx]
-            drift = max(
-                abs(p - float_marginals[m][o])
-                for i, m in enumerate(ctx)
-                for o, p in _axis_floats(table, i, outcome_order[m]).items()
+            table = {relabel[label]: p for label, p in born(rho, povm).items()}
+            marginals = {}
+            for i, m in enumerate(ctx):
+                floats = _axis_floats(table, i, outcome_order[m])
+                if m not in shared:
+                    shared[m] = (floats, rationalize(floats, max_denominator))
+                first, exact = shared[m]
+                drift = max(abs(p - first[o]) for o, p in floats.items())
+                marginals[m] = exact if drift <= MARGINAL_TOL else rationalize(floats, max_denominator)
+            joint = _consistent_joint(ctx, outcome_order, table, marginals, max_denominator)
+            responses[(name, ctx)] = Dist(
+                {JointOutcome.of(ctx, combo): w for combo, w in joint.items()}
             )
-            if drift > MARGINAL_TOL:
-                snapped = rationalize(table, max_denominator)
-                dist = snapped.map_elements(lambda label: JointOutcome.of(ctx, label))
-            else:
-                joint = _consistent_joint(
-                    ctx, outcome_order, table, exact_marginals, max_denominator
-                )
-                dist = Dist(
-                    {JointOutcome.of(ctx, combo): w for combo, w in joint.items()}
-                )
-            responses[(name, ctx)] = dist
 
     names = tuple(_ordered(preps))
     return OntologicalModel(

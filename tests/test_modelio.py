@@ -289,6 +289,29 @@ class TestErrorGrading:
         assert e.value.path == f"{path}/{key}"
         assert detail in str(e.value)
 
+    @pytest.mark.parametrize("where", ["prep-table", "joint-state", "event"])
+    def test_composite_key_is_checked_label_by_label(self, where):
+        """An empty part of a joint-preparation, joint-state or event key is
+        refused at that key's own path, not later as an unknown key or an
+        element outside the carrier."""
+        if where == "event":
+            doc = doc_for(pr_box())
+            ctx, tables = next(iter(doc["payload"]["tables"].items()))
+            path = f"payload/tables/{ctx}"
+        else:
+            doc = doc_for(pbr_counterexample(PBRParams(F(1, 4))))
+            tables, path = doc["payload"]["tables"], "payload/tables"
+            if where == "joint-state":
+                jp, tables = next(iter(tables.items()))
+                path = f"{path}/{jp}"
+        old = next(iter(tables))
+        key = old.split(",")[0] + ","
+        tables[key] = tables.pop(old)
+        with pytest.raises(SchemaError) as e:
+            parse_model_file(json.dumps(doc))
+        assert e.value.path == f"{path}/{key}"
+        assert "non-empty" in str(e.value)
+
     def test_weights_not_summing_to_one(self):
         doc = doc_for(pr_box())
         table = next(iter(doc["payload"]["tables"].values()))

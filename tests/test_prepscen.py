@@ -99,6 +99,17 @@ class TestPreparationModel:
             with pytest.raises(InvariantViolation):
                 PreparationModel(m.scenario, {**missing, stray: table})
 
+    @pytest.mark.parametrize(
+        "spaces",
+        [{"left": ("0", "1")}, {"left": ("0", "1"), "right": ("0", "1"), "extra": ("0",)}],
+    )
+    def test_product_spaces_must_name_exactly_the_sites(self, spaces):
+        """A missing site is not a bare KeyError and an extra one is not
+        dropped: the scenario refuses both."""
+        fair = Dist.uniform(["0", "1"])
+        with pytest.raises(InvariantViolation, match="cover exactly the declared sites"):
+            product_preparation_model({"left": {"h": fair}, "right": {"h": fair}}, spaces)
+
     def test_site_marginal(self):
         m = product_coin_model()
         assert m.site_marginal(("h", "h"), "left") == Dist(

@@ -1,6 +1,7 @@
 """Quantum layer: states, POVMs, Born rule, rationalization, and the
 bridges to exact models."""
 
+import cmath
 import itertools
 import math
 from fractions import Fraction
@@ -9,10 +10,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ontolab import Dist, InvariantViolation, is_parameter_independent
+from ontolab import (
+    EPISTEMIC,
+    ONTIC,
+    UNDEFINED,
+    Dist,
+    InvariantViolation,
+    is_parameter_independent,
+    observable_property,
+    onticity_report,
+)
 from ontolab import quantum
 from ontolab.probcore import InternalError, JointOutcome
 from ontolab.quantum import (
+    MARGINAL_TOL,
     DensityMatrix,
     DimensionMismatch,
     EpistemicValues,
@@ -326,6 +337,16 @@ def test_completion_of_marginals_with_different_totals_is_an_internal_error():
         quantum._complete_2d([F(1, 2), F(1, 2)], [F(1, 3), F(1, 3)], lambda i, j: 0.25, 1000)
 
 
+_S = 1 / math.sqrt(2)
+BELL_BASIS = projective_povm(
+    [
+        (("0", "0"), Ket.of([_S, 0, 0, _S])),
+        (("0", "1"), Ket.of([_S, 0, 0, -_S])),
+        (("1", "0"), Ket.of([0, _S, _S, 0])),
+        (("1", "1"), Ket.of([0, _S, -_S, 0])),
+    ]
+)
+
 CHSH_ANGLES = {"a0": 0.0, "a1": math.pi / 2, "b0": math.pi / 4, "b1": -math.pi / 4}
 
 
@@ -425,20 +446,11 @@ class TestPsiCompleteModel:
         chsh_psi_complete()
         assert 0 < len(calls) <= 33
 
-    def test_inconsistent_marginals_are_rationalized_per_table(self):
+    def test_a_drifting_measurement_takes_its_own_axis_per_table(self):
         """a0 is certain in the Bell basis and a fair coin beside an x
-        measurement, so the float marginals disagree; each table is then
-        rationalized on its own and the model signals through a0."""
-        s = 1 / math.sqrt(2)
-        bell_basis = projective_povm(
-            [
-                (("0", "0"), Ket.of([s, 0, 0, s])),
-                (("0", "1"), Ket.of([s, 0, 0, -s])),
-                (("1", "0"), Ket.of([0, s, s, 0])),
-                (("1", "1"), Ket.of([0, s, -s, 0])),
-            ]
-        )
-        meas = {("a0", "b0"): bell_basis, ("a0", "b1"): tensor(z_basis_povm(), x_basis_povm())}
+        measurement, so its float marginals disagree; each table takes its
+        own rationalized a0 axis and the model signals through a0."""
+        meas = {("a0", "b0"): BELL_BASIS, ("a0", "b1"): tensor(z_basis_povm(), x_basis_povm())}
         m = psi_complete_model({"pair": bell_phi_plus()}, meas, max_denominator=1000)
         res = is_parameter_independent(m)
         assert not res
@@ -449,6 +461,92 @@ class TestPsiCompleteModel:
             assert sum(table.weights.values()) == 1
             for label, p in born(rho, povm).items():
                 assert abs(float(table.weight(JointOutcome.of(ctx, label))) - p) <= 4 / 1000
+
+    @pytest.mark.parametrize("cap", [10, 10**6])
+    def test_only_the_drifting_measurement_loses_its_marginal(self, cap):
+        """On |00>, a drifts between the Bell basis and x; c has the Born
+        marginal (0.8536, 0.1464) beside both a and e, so it shares one
+        exact marginal and stays well defined even in the table where a
+        drifts."""
+        meas = {
+            ("a", "b"): BELL_BASIS,
+            ("a", "c"): tensor(x_basis_povm(), qubit_direction_povm(math.pi / 4)),
+            ("e", "c"): tensor(z_basis_povm(), qubit_direction_povm(math.pi / 4)),
+        }
+        h = psi_complete_model({"s": tensor(qubit0(), qubit0())}, meas, cap)
+        assert onticity_report(h) == {"a": UNDEFINED, "b": EPISTEMIC, "c": EPISTEMIC, "e": ONTIC}
+        observable_property(h, "c")
+        res = is_parameter_independent(h)
+        assert not res
+        assert res.witness.measurement == "a"
+
+
+def qubit_basis(theta, phi):
+    u = Ket.of([math.cos(theta), cmath.exp(1j * phi) * math.sin(theta)])
+    v = Ket.of([-cmath.exp(-1j * phi) * math.sin(theta), math.cos(theta)])
+    return projective_povm([("0", u), ("1", v)])
+
+
+def orthonormal(draws):
+    """Gram-Schmidt of drawn complex vectors; None when they are nearly
+    dependent."""
+    out = []
+    for draw in draws:
+        v = [complex(re, im) for re, im in draw]
+        for u in out:
+            c = sum(x.conjugate() * y for x, y in zip(u, v))
+            v = [y - c * x for x, y in zip(u, v)]
+        norm = math.sqrt(sum(abs(x) ** 2 for x in v))
+        if norm < 0.1:
+            return None
+        out.append([x / norm for x in v])
+    return out
+
+
+complex_vector = st.lists(
+    st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=4, max_size=4
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(0, math.pi), st.floats(0, 2 * math.pi)), min_size=4, max_size=4),
+    st.lists(complex_vector, min_size=5, max_size=5),
+    st.sampled_from([("a0", "b0"), ("a0", "b1"), ("a1", "b0"), ("a1", "b1")]),
+    st.sampled_from([3, 10, 100, 1000, 10**6]),
+)
+def test_undefined_only_where_the_born_marginal_drifts(angles, draws, odd, cap):
+    """Two qubits, a random basis per measurement and one context measured
+    in a random entangled basis: every measurement reported undefined has
+    a Born marginal that drifts by more than MARGINAL_TOL from its first
+    context's. The converse is not asserted, since a coarse cap can round
+    a real drift away."""
+    state, basis = orthonormal(draws[:1]), orthonormal(draws[1:])
+    assume(state is not None and basis is not None)
+    state = Ket.of(state[0])
+    local = {m: qubit_basis(*a) for m, a in zip(("a0", "a1", "b0", "b1"), angles)}
+    meas = {(a, b): tensor(local[a], local[b]) for a in ("a0", "a1") for b in ("b0", "b1")}
+    meas[odd] = projective_povm(
+        [(label, Ket.of(v)) for label, v in zip(itertools.product("01", repeat=2), basis)]
+    )
+    h = psi_complete_model({"s": state}, meas, cap)
+    rho = DensityMatrix.from_ket(state)
+
+    def floats(m, ctx):
+        i = ctx.index(m)
+        axis = {"0": 0.0, "1": 0.0}
+        for label, p in born(rho, meas[ctx]).items():
+            axis[label[i]] += p
+        return axis
+
+    for m, status in onticity_report(h).items():
+        if status == UNDEFINED:
+            first, *rest = h.scenario.contexts_with(m)
+            assert any(
+                abs(floats(m, ctx)[o] - floats(m, first)[o]) > MARGINAL_TOL
+                for ctx in rest
+                for o in "01"
+            )
 
 
 class TestObservableEpistemicity:
