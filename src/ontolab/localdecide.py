@@ -51,10 +51,9 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter, mul
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .probcore import (
-    Check,
     DimensionMismatch,
     Dist,
     EmpiricalModel,

@@ -15,7 +15,7 @@ assignments; the rewrite preserves operational probabilities exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, Sequence
 
 from .probcore import (
     Check,
@@ -35,7 +35,7 @@ from .probcore import (
     marginalize,
     product_mismatch,
 )
-from .properties import Epistemic, Ontic, Property, classify
+from .properties import Ontic, Property, classify
 
 
 class UnknownPreparation(OntolabError):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Sequence
 
 from .probcore import (
     Check,
@@ -39,7 +39,9 @@ from .probcore import (
     product_dist,
     product_mismatch,
 )
-from .ontomodel import OntologicalModel
+
+if TYPE_CHECKING:
+    from .ontomodel import OntologicalModel
 
 
 class QOutOfRange(OntolabError):
@@ -292,6 +294,8 @@ def as_measurement_model(m: PreparationModel) -> OntologicalModel:
     ontic state. Signalling and factorization checks then mirror their
     preparation counterparts.
     """
+    from .ontomodel import OntologicalModel
+
     sc = m.scenario
     outcomes = {(s, p): sc.ontic_spaces[s] for s in sc.sites for p in sc.preparations[s]}
     responses = {}

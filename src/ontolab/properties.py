@@ -9,7 +9,6 @@ agree, which `hs_equivalence` re-checks instance by instance.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from typing import Any, Mapping, Optional, Union
 

@@ -4,9 +4,10 @@ into exact ontological models.
 Floating point lives only in this module, in plain Python: a vector is a
 tuple of `complex` and a matrix a tuple of such rows. Constructors accept
 any nested sequence of numbers and refuse ragged or non-square shapes
-(`DimensionMismatch`) and non-finite entries (`InvariantViolation`). One
-cyclic Jacobi eigensolver serves the positivity checks of density matrices
-and POVM effects and the spectral decomposition of observables.
+(`DimensionMismatch`) and non-finite entries (`InvariantViolation`). A
+state is a `Ket`; `born` reads its amplitudes directly. One cyclic Jacobi
+eigensolver serves the positivity checks of POVM effects and the spectral
+decomposition of observables.
 
 The bridge to the exact side is `rationalize`, which snaps a float
 distribution to nearby rationals with a bounded denominator.
@@ -23,7 +24,7 @@ table completion adds one greedy fill of a negative corner, and neither
 refuses a valid input at any cap.
 
 Tolerances are fixed module constants: `NORMALIZATION_TOL` (1e-12) for
-norms, traces, hermiticity, and the steering demo's fidelities and
+ket norms, hermiticity, and the steering demo's fidelities and
 reduced-state drift; `STRUCTURE_TOL` (1e-10) for positivity floors and
 identity sums; `EIGENVALUE_GAP` (1e-8) for grouping nearly equal
 eigenvalues; `SUPPORT_TOL` (1e-10) for which eigenspace overlaps count;
@@ -42,7 +43,7 @@ import math
 import sys
 from fractions import Fraction
 from numbers import Number
-from typing import Any, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Any, Mapping, Sequence, Union
 
 from .probcore import (
     DimensionMismatch,
@@ -56,7 +57,9 @@ from .probcore import (
     _value_class,
     labels,
 )
-from .ontomodel import OntologicalModel
+
+if TYPE_CHECKING:
+    from .ontomodel import OntologicalModel
 
 
 class KindMismatch(OntolabError):
@@ -203,37 +206,6 @@ class Ket:
     def dimension(self) -> int:
         return len(self.amplitudes)
 
-    @staticmethod
-    def of(values: Sequence) -> "Ket":
-        return Ket(values)
-
-
-@_value_class
-class DensityMatrix:
-    """Hermitian, unit-trace, positive semi-definite within tolerances."""
-
-    matrix: tuple
-
-    def __post_init__(self):
-        m = _matrix(self.matrix)
-        if not _hermitian(m):
-            raise InvariantViolation("density matrix is not hermitian")
-        trace = sum(row[i] for i, row in enumerate(m))
-        if abs(trace.real - 1.0) > NORMALIZATION_TOL:
-            raise InvariantViolation(f"trace {trace} is not 1")
-        lowest = _eigh(m)[0][0]
-        if lowest < -STRUCTURE_TOL:
-            raise InvariantViolation(f"negative eigenvalue {lowest}")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.matrix)
-
-    @staticmethod
-    def from_ket(k: Ket) -> "DensityMatrix":
-        return DensityMatrix(_outer(k.amplitudes, k.amplitudes))
-
 
 @_value_class
 class Povm:
@@ -305,27 +277,27 @@ class Observable:
 
 
 def qubit0() -> Ket:
-    return Ket.of([1, 0])
+    return Ket([1, 0])
 
 
 def qubit1() -> Ket:
-    return Ket.of([0, 1])
+    return Ket([0, 1])
 
 
 def plus_state() -> Ket:
     s = 1 / math.sqrt(2)
-    return Ket.of([s, s])
+    return Ket([s, s])
 
 
 def minus_state() -> Ket:
     s = 1 / math.sqrt(2)
-    return Ket.of([s, -s])
+    return Ket([s, -s])
 
 
 def bell_phi_plus() -> Ket:
     """Maximally entangled two-qubit state (|00> + |11>)/sqrt(2)."""
     s = 1 / math.sqrt(2)
-    return Ket.of([s, 0, 0, s])
+    return Ket([s, 0, 0, s])
 
 
 def projective_povm(named_kets: Sequence[tuple]) -> Povm:
@@ -346,8 +318,8 @@ def qubit_direction_povm(theta: float) -> Povm:
 
     Outcome "0" is the +1 eigenvector, outcome "1" the -1 eigenvector.
     """
-    up = Ket.of([math.cos(theta / 2), math.sin(theta / 2)])
-    down = Ket.of([-math.sin(theta / 2), math.cos(theta / 2)])
+    up = Ket([math.cos(theta / 2), math.sin(theta / 2)])
+    down = Ket([-math.sin(theta / 2), math.cos(theta / 2)])
     return projective_povm([("0", up), ("1", down)])
 
 
@@ -359,17 +331,21 @@ def pauli_x() -> Observable:
     return Observable(((0.0, 1.0), (1.0, 0.0)))
 
 
-def born(rho: DensityMatrix, povm: Povm) -> dict:
-    """Outcome probabilities tr(rho E), clipped of sub-tolerance negative
-    noise and renormalized to sum to one."""
-    if rho.dimension != povm.dimension:
+def born(psi: Ket, povm: Povm) -> dict:
+    """Outcome probabilities <psi|E|psi>, one per effect E, clipped of
+    sub-tolerance negative noise and renormalized to sum to one.
+
+    Each is summed as sum_i sum_k (psi_i conj(psi_k)) E_ki, which is
+    tr(|psi><psi| E) term by term and in the same order."""
+    if psi.dimension != povm.dimension:
         raise DimensionMismatch(
-            f"state dimension {rho.dimension} vs effect dimension {povm.dimension}"
+            f"state dimension {psi.dimension} vs effect dimension {povm.dimension}"
         )
-    n = rho.dimension
+    n = psi.dimension
+    rho = _outer(psi.amplitudes, psi.amplitudes)
     raw = {}
     for label, effect in povm.effects:
-        p = sum(rho.matrix[i][k] * effect[k][i] for i in range(n) for k in range(n)).real
+        p = sum(rho[i][k] * effect[k][i] for i in range(n) for k in range(n)).real
         if p < 0:
             if p < -STRUCTURE_TOL:
                 raise InvariantViolation(f"outcome {label!r} has probability {p}")
@@ -386,15 +362,13 @@ def _flat(label) -> tuple:
 
 
 def tensor(a, b):
-    """Kind-matched tensor product of kets, density matrices, or POVMs.
+    """Kind-matched tensor product of two kets or of two POVMs.
 
     POVM labels combine by tuple concatenation, so repeated products stay
     flat: the joint label lists one outcome per factor.
     """
     if isinstance(a, Ket) and isinstance(b, Ket):
         return Ket(_kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(_kron(a.matrix, b.matrix))
     if isinstance(a, Povm) and isinstance(b, Povm):
         effects = []
         for la, ea in a.effects:
@@ -563,6 +537,8 @@ def psi_complete_model(
     its other contexts each rationalize their own nearly equal axes, which
     may then differ from one another at a coarse cap.
     """
+    from .ontomodel import OntologicalModel
+
     contexts = {}
     for given_ctx, povm in measurements.items():
         given = tuple(given_ctx)
@@ -597,11 +573,10 @@ def psi_complete_model(
 
     responses = {}
     for name in _ordered(preps):
-        rho = DensityMatrix.from_ket(preps[name])
         shared = {}
         for ctx in scenario.cover:
             povm, relabel = contexts[ctx]
-            table = {relabel[label]: p for label, p in born(rho, povm).items()}
+            table = {relabel[label]: p for label, p in born(preps[name], povm).items()}
             marginals = {}
             for i, m in enumerate(ctx):
                 floats = _axis_floats(table, i, outcome_order[m])

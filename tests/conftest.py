@@ -1,4 +1,5 @@
-"""Shared fixtures: seeded random model generators.
+"""Shared fixtures: seeded random model generators, and the Hypothesis
+profile every test module runs under.
 
 All randomness goes through explicit `random.Random` instances so every
 test run sees the same models.
@@ -8,6 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, settings
 
 from ontolab import (
     Dist,
@@ -18,6 +20,13 @@ from ontolab import (
     Property,
 )
 from ontolab.cli.zoo import bell_scenario
+
+# Every phase but `explain`, which re-runs a failing example under line
+# tracing: on a property that builds ψ-complete models it ran for minutes
+# at hundreds of MB before reporting. A test's own `@settings` are made
+# after this loads, so they keep their values and take these phases.
+settings.register_profile("no-explain", phases=[p for p in Phase if p is not Phase.explain])
+settings.load_profile("no-explain")
 
 
 def rand_rational_dist(rng: random.Random, elements, max_denominator: int = 20) -> Dist:

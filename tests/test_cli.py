@@ -550,8 +550,10 @@ IMPORT_CASES = [
     (("classify-property",), "property", ("ontolab.properties",)),
     (("onto-report",), "ontological", _ONTO),
     (("canonicalize",), "ontological", _ONTO),
-    (("prep-check",), "preparation", ("ontolab.prepscen", *_ONTO)),
-    (("pbr",), None, ("ontolab.prepscen", *_ONTO)),
+    (("prep-check",), "preparation", ("ontolab.prepscen",)),
+    (("pbr",), None, ("ontolab.prepscen",)),
+    (("demo", "epr"), None, ("ontolab.quantum",)),
+    (("demo", "steering"), None, ("ontolab.quantum",)),
     (("zoo", "list"), None, ("ontolab.cli.zoo",)),
 ]
 

@@ -1,6 +1,7 @@
 """The package namespace: every public name resolves lazily, from the layer
 that defines it, and nothing is cached in the package."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -101,3 +102,48 @@ def test_importing_the_package_loads_no_layer_until_a_name_is_used():
         "ontolab.localdecide ontolab ontolab.localdecide ontolab.probcore",
         "ontolab.localdecide ontolab ontolab.localdecide ontolab.probcore",
     ]
+
+
+def _annotation_strings(tree) -> list:
+    """Expressions parsed from the string constants inside annotations."""
+    roots = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            roots.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            roots.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            roots.append(node.annotation)
+    return [
+        ast.parse(const.value, mode="eval")
+        for root in roots
+        if root is not None
+        for const in ast.walk(root)
+        if isinstance(const, ast.Constant) and isinstance(const.value, str)
+    ]
+
+
+def _unused_imports(tree) -> list:
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names if alias.name != "*"]
+    used = {
+        node.id
+        for root in [tree, *_annotation_strings(tree)]
+        for node in ast.walk(root)
+        if isinstance(node, ast.Name)
+    }
+    return sorted(set(imported) - used)
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    package = Path(ontolab.__file__).resolve().parent
+    unused = {}
+    for path in sorted(package.rglob("*.py")):
+        names = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if names:
+            unused[str(path.relative_to(package))] = names
+    assert unused == {}
